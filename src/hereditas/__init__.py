@@ -32,6 +32,7 @@ from .simulate import (
     PRESETS,
     SettingConfig,
     build_truth,
+    fit_pipeline,
     generate_replicate,
     preset,
     run_campaign,
@@ -75,6 +76,7 @@ __all__ = [
     "check_heredity",
     "expand",
     "fit_location_scale",
+    "fit_pipeline",
     "generate_replicate",
     "inter",
     "lambda_path",

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     InfeasibleStartError,
     InvalidConfigError,
     InvalidDimensionError,
+    SingularDesignError,
     UnsupportedDistributionError,
 )
 from .io import (
@@ -32,14 +34,7 @@ from .io import (
     write_matrix_csv,
 )
 from .report import campaign_tsv, multi_report_tsv, snr_summary
-from .selectors import (
-    FULL_START,
-    NULL_START,
-    LassoOptions,
-    StepwiseOptions,
-    stepwise_aic,
-    tune_lasso,
-)
+from .selectors import FULL_START, NULL_START, LassoOptions, StepwiseOptions
 from .simulate import (
     DEFAULT_CELLS,
     HIERARCHICAL,
@@ -47,22 +42,14 @@ from .simulate import (
     METHODS,
     PRESETS,
     SCHEMES,
+    STEPWISE,
     SettingConfig,
+    fit_pipeline,
     preset,
     run_campaign,
+    standardize_train,
 )
-from .standardize import (
-    HIER_STD,
-    MEAN_SD,
-    MEDIAN_IQR,
-    REGULAR_STD,
-    back_transform_hierarchical,
-    back_transform_regular,
-    check_heredity,
-    fit_location_scale,
-    standardize_hierarchical,
-    standardize_regular,
-)
+from .standardize import MEAN_SD, MEDIAN_IQR, check_heredity
 from .terms import canonical_terms, expand
 
 _USAGE_ERRORS = (
@@ -71,6 +58,7 @@ _USAGE_ERRORS = (
     DegenerateColumnError,
     UnsupportedDistributionError,
     InfeasibleStartError,
+    SingularDesignError,
 )
 
 
@@ -85,15 +73,21 @@ def _add_selector_options(p: argparse.ArgumentParser) -> None:
                    help="path to a JSON file of stepwise options")
 
 
+def _read_json(path):
+    """The parsed JSON file at path; None when no path is given."""
+    if not path:
+        return None
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_selector_options(args):
-    lasso_opts = stepwise_opts = None
-    if args.lasso_options:
-        with open(args.lasso_options) as fh:
-            lasso_opts = LassoOptions.from_json_dict(json.load(fh))
-    if args.stepwise_options:
-        with open(args.stepwise_options) as fh:
-            stepwise_opts = StepwiseOptions.from_json_dict(json.load(fh))
-    return lasso_opts, stepwise_opts
+    """The parsed option files and the JSON documents they hold (None when not given)."""
+    lasso = _read_json(args.lasso_options)
+    stepwise = _read_json(args.stepwise_options)
+    return (None if lasso is None else LassoOptions.from_json_dict(lasso),
+            None if stepwise is None else StepwiseOptions.from_json_dict(stepwise),
+            {"lasso_options": lasso, "stepwise_options": stepwise})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -191,14 +185,13 @@ def cmd_simulate(args) -> int:
     if args.preset is not None:
         cfg = preset(args.preset)
     else:
-        with open(args.config) as fh:
-            cfg = SettingConfig.from_json_dict(json.load(fh))
+        cfg = SettingConfig.from_json_dict(_read_json(args.config))
     overrides = {"master_seed": args.seed}
     if args.replicates is not None:
         overrides["replicates"] = args.replicates
     cfg = SettingConfig.from_json_dict({**cfg.to_json_dict(), **overrides})
     cells = _parse_cells(args.methods, args.schemes)
-    lasso_opts, stepwise_opts = _load_selector_options(args)
+    lasso_opts, stepwise_opts, _ = _load_selector_options(args)
 
     report = run_campaign(cfg, cells=cells, threads=args.threads,
                           lasso_opts=lasso_opts, stepwise_opts=stepwise_opts)
@@ -244,15 +237,17 @@ def _parse_split(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _split_response(table, name: str):
+    """(the table without the response column, the response column)."""
+    if name not in table.columns:
+        raise InvalidConfigError(f"response column {name!r} not in {list(table.columns)}")
+    return table.drop(name), table.column(name)
+
+
 def cmd_fit(args) -> int:
     started = _now()
-    table = read_table(args.data)
-    if args.response not in table.columns:
-        raise InvalidConfigError(
-            f"response column {args.response!r} not in {list(table.columns)}"
-        )
-    y_all = table.column(args.response)
-    x_all = table.drop(args.response).data
+    mains, y_all = _split_response(read_table(args.data), args.response)
+    x_all = mains.data
     n = x_all.shape[0]
     ratios = _parse_split(args.split)
     n_tr, n_va, n_te = split_sizes(n, ratios)
@@ -270,38 +265,25 @@ def cmd_fit(args) -> int:
     x_va, y_va = x_all[idx_va], y_all[idx_va]
     x_te, y_te = x_all[idx_te], y_all[idx_te]
 
-    if args.scheme == HIERARCHICAL:
-        ls = fit_location_scale(x_tr, args.estimator)
-        z_tr = standardize_hierarchical(x_tr, ls, terms)
-        z_va = standardize_hierarchical(x_va, ls, terms)
-        tag = HIER_STD
-    else:
-        z_tr, params = standardize_regular(x_tr, terms)
-        z_va = params.apply(x_va)
-        tag = REGULAR_STD
+    lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
+    start = None
+    if args.method == STEPWISE:
+        # An explicit --start wins, then the options file, then the auto rule.
+        if args.start != "auto":
+            start = args.start
+        elif "start" in (option_docs["stepwise_options"] or {}):
+            start = stepwise_opts.start
+        else:
+            start = FULL_START if n_tr > len(terms) + 1 else NULL_START
+        stepwise_opts = replace(stepwise_opts or StepwiseOptions(), start=start)
 
-    lasso_opts, stepwise_opts = _load_selector_options(args)
-    if args.method == LASSO:
-        tuned = tune_lasso((z_tr, y_tr), (z_va, y_va), lasso_opts, terms, tag)
-        fit = tuned.fit
+    fitted = fit_pipeline((x_tr, y_tr), (x_va, y_va), terms, args.method, args.scheme,
+                          args.estimator, lasso_opts, stepwise_opts)
+    raw, fit, tuned = fitted.raw_coefs, fitted.fit, fitted.tuned
+    if tuned is not None:
         tuning = {"lambda": tuned.best_lambda, "path": tuned.to_json_dict()}
     else:
-        start = args.start
-        if start == "auto":
-            start = FULL_START if len(y_tr) > z_tr.shape[1] + 1 else NULL_START
-        base = stepwise_opts or StepwiseOptions()
-        fit = stepwise_aic(z_tr, y_tr,
-                           StepwiseOptions(start=start, direction=base.direction,
-                                           max_selected=base.max_selected),
-                           terms, tag)
         tuning = {"aic": fit.tuning, "steps": fit.iterations, "start": start}
-
-    if args.scheme == HIERARCHICAL:
-        raw = back_transform_hierarchical(fit.coefs, ls, terms)
-        params_dict = ls.to_json_dict()
-    else:
-        raw = back_transform_regular(fit.coefs, params, terms)
-        params_dict = params.to_json_dict()
     test_design = expand(x_te, terms)
 
     ok, violators = check_heredity(raw)
@@ -322,11 +304,16 @@ def cmd_fit(args) -> int:
         "n_selected": len(raw.selected()),
         "split_sizes": {"train": n_tr, "valid": n_va, "test": n_te},
         "tuning": tuning,
-        "standardization": params_dict,
+        "standardization": fitted.params.to_json_dict(),
     }
     json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
     atomic_write_text(json_path, dump_json(summary))
-    _write_manifest(args.out_dir, " ".join(sys.argv), {"data": args.data, "split": args.split},
+    run_config = {
+        "data": args.data, "split": args.split, "response": args.response,
+        "method": args.method, "scheme": args.scheme, "estimator": args.estimator,
+        "start": start, **option_docs,
+    }
+    _write_manifest(args.out_dir, " ".join(sys.argv), run_config,
                     args.seed, started, [coef_path, json_path], stem)
 
     if args.format == "json":
@@ -344,26 +331,16 @@ def cmd_standardize(args) -> int:
     started = _now()
     table = read_table(args.data)
     if args.response is not None:
-        if args.response not in table.columns:
-            raise InvalidConfigError(
-                f"response column {args.response!r} not in {list(table.columns)}"
-            )
-        table = table.drop(args.response)
+        table, _ = _split_response(table, args.response)
     terms = canonical_terms(table.data.shape[1])
-    if args.scheme == HIERARCHICAL:
-        ls = fit_location_scale(table.data, args.estimator)
-        z = standardize_hierarchical(table.data, ls, terms)
-        params_dict = ls.to_json_dict()
-    else:
-        z, params = standardize_regular(table.data, terms)
-        params_dict = params.to_json_dict()
+    z, params, _, _ = standardize_train(table.data, terms, args.scheme, args.estimator)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.scheme}"
     matrix_path = os.path.join(args.out_dir, f"{stem}.standardized.csv")
     params_path = os.path.join(args.out_dir, f"{stem}.params.json")
     write_matrix_csv(matrix_path, terms.labels(), z)
-    atomic_write_text(params_path, dump_json(params_dict))
+    atomic_write_text(params_path, dump_json(params.to_json_dict()))
     _write_manifest(args.out_dir, " ".join(sys.argv),
                     {"data": args.data, "scheme": args.scheme}, args.seed, started,
                     [matrix_path, params_path], stem)
@@ -372,10 +349,7 @@ def cmd_standardize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    docs = []
-    for path in args.report_json:
-        with open(path) as fh:
-            docs.append(json.load(fh))
+    docs = [_read_json(path) for path in args.report_json]
     if args.format == "json":
         sys.stdout.write(dump_json(docs if len(docs) > 1 else docs[0]))
     else:

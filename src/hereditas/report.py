@@ -20,19 +20,9 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
-def campaign_tsv(report: CampaignReport, include_classes: bool = True) -> str:
+def campaign_tsv(report: CampaignReport) -> str:
     """Cells as columns; metric-by-stat rows."""
-    names = [c.name for c in report.cells]
-    lines = ["\t".join(["metric", "stat"] + names)]
-    metric_names = AGGREGATED_METRICS + (_CLASS_METRICS if include_classes else ())
-    for metric in metric_names:
-        for stat in _STATS:
-            row = [metric, stat]
-            for cell in report.cells:
-                agg = cell.aggregates.get(metric)
-                row.append(_fmt(None if agg is None else getattr(agg, stat)))
-            lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+    return multi_report_tsv([report.to_json_dict()])
 
 
 def multi_report_tsv(docs: list[dict]) -> str:

@@ -170,7 +170,10 @@ def lasso_fit(X, y, lam, opts: LassoOptions | None = None, terms: TermSet | None
 def lambda_path(X, y, opts: LassoOptions | None = None) -> np.ndarray:
     """Descending geometric grid from the all-zero threshold lambda_max."""
     opts = opts or LassoOptions()
-    prep = _prepare(X, y, opts.internal_standardize)
+    return _lambda_grid(_prepare(X, y, opts.internal_standardize), opts)
+
+
+def _lambda_grid(prep: _Prepped, opts: LassoOptions) -> np.ndarray:
     lam_max = _lambda_max(prep)
     if opts.n_lambda == 1 or lam_max == 0.0:
         return np.full(opts.n_lambda, lam_max)
@@ -183,10 +186,10 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
                    scale_tag: str = RAW, lambdas=None) -> tuple[np.ndarray, list[FitResult]]:
     """Fit the whole path with warm starts chained from one lambda to the next."""
     opts = opts or LassoOptions()
-    if lambdas is None:
-        lambdas = lambda_path(X, y, opts)
-    lambdas = np.asarray(lambdas, dtype=np.float64)
     prep = _prepare(X, y, opts.internal_standardize)
+    if lambdas is None:
+        lambdas = _lambda_grid(prep, opts)
+    lambdas = np.asarray(lambdas, dtype=np.float64)
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
     fits = []

@@ -29,10 +29,10 @@ from .metrics import (
     snr,
 )
 from .selectors import (
-    FULL_START,
     FitResult,
     LassoOptions,
     StepwiseOptions,
+    TunedLasso,
     stepwise_aic,
     tune_lasso,
 )
@@ -42,13 +42,15 @@ from .standardize import (
     MEDIAN_IQR,
     REGULAR_STD,
     CoefficientVector,
+    LocationScale,
+    RegularParams,
     back_transform_hierarchical,
     back_transform_regular,
     fit_location_scale,
     standardize_hierarchical,
     standardize_regular,
 )
-from .terms import RawDesign, canonical_terms, expand, inter, main, quad
+from .terms import RawDesign, TermSet, canonical_terms, expand, inter, main, quad
 
 LASSO = "lasso"
 STEPWISE = "stepwise"
@@ -246,51 +248,75 @@ class PipelineOutcome:
     metrics: ReplicateMetrics
 
 
-def run_pipeline(data: ReplicateData, method: str, scheme: str,
+def standardize_train(raw, terms: TermSet, scheme: str, estimator: str = MEAN_SD) -> tuple:
+    """Fit the scheme's parameters on the training mains and standardize them.
+
+    Returns the standardized design, the parameters, the scale tag of
+    coefficients fitted on that design, and a function standardizing
+    another raw design with the same parameters.  The estimator applies to
+    the hierarchical scheme only; regular standardization is always mean/SD
+    per expanded column.
+    """
+    if scheme == HIERARCHICAL:
+        ls = fit_location_scale(raw, estimator)
+        return (standardize_hierarchical(raw, ls, terms), ls, HIER_STD,
+                lambda other: standardize_hierarchical(other, ls, terms))
+    z, params = standardize_regular(raw, terms)
+    return z, params, REGULAR_STD, params.apply
+
+
+class FittedPipeline(NamedTuple):
+    """What one standardize -> select -> back-transform run produced."""
+
+    params: LocationScale | RegularParams
+    fit: FitResult  # on the standardized scale
+    tuned: TunedLasso | None  # the lambda search; None for stepwise
+    raw_coefs: CoefficientVector
+
+
+def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
                  estimator: str = MEAN_SD,
                  lasso_opts: LassoOptions | None = None,
-                 stepwise_opts: StepwiseOptions | None = None) -> PipelineOutcome:
-    """Standardize -> select -> back-transform -> score on the test split.
+                 stepwise_opts: StepwiseOptions | None = None) -> FittedPipeline:
+    """Standardize -> select -> back-transform on (raw design, y) pairs.
 
-    The validation split tunes lambda for the lasso; stepwise does not use
-    it.  Validation and test designs are always standardized with the
-    train-fitted parameters.
+    Parameters are fitted on the training split.  The validation split tunes
+    lambda for the lasso and is standardized only then; stepwise does not
+    read it.
     """
     if method not in METHODS:
         raise InvalidConfigError(f"unknown method {method!r}")
     if scheme not in SCHEMES:
         raise InvalidConfigError(f"unknown scheme {scheme!r}")
-    terms = data.truth.terms
-    y_tr = data.train.y
-
-    if scheme == HIERARCHICAL:
-        ls = fit_location_scale(data.train.design, estimator)
-        z_tr = standardize_hierarchical(data.train.design, ls, terms)
-        tag = HIER_STD
-    else:
-        z_tr, params = standardize_regular(data.train.design, terms)
-        tag = REGULAR_STD
-
+    x_tr, y_tr = train
+    z_tr, params, tag, apply_params = standardize_train(x_tr, terms, scheme, estimator)
+    tuned = None
     if method == LASSO:
-        if scheme == HIERARCHICAL:
-            z_va = standardize_hierarchical(data.valid.design, ls, terms)
-        else:
-            z_va = params.apply(data.valid.design)
-        tuned = tune_lasso((z_tr, y_tr), (z_va, data.valid.y), lasso_opts, terms, tag)
+        x_va, y_va = valid
+        tuned = tune_lasso((z_tr, y_tr), (apply_params(x_va), y_va), lasso_opts, terms, tag)
         fit = tuned.fit
     else:
-        fit = stepwise_aic(z_tr, y_tr, stepwise_opts or StepwiseOptions(start=FULL_START),
-                           terms, tag)
+        fit = stepwise_aic(z_tr, y_tr, stepwise_opts, terms, tag)
 
     if scheme == HIERARCHICAL:
-        raw = back_transform_hierarchical(fit.coefs, ls, terms)
+        raw = back_transform_hierarchical(fit.coefs, params, terms)
     else:
         raw = back_transform_regular(fit.coefs, params, terms)
-    test_design = expand(data.test.design, terms)
+    return FittedPipeline(params, fit, tuned, raw)
 
+
+def run_pipeline(data: ReplicateData, method: str, scheme: str,
+                 estimator: str = MEAN_SD,
+                 lasso_opts: LassoOptions | None = None,
+                 stepwise_opts: StepwiseOptions | None = None) -> PipelineOutcome:
+    """fit_pipeline on a replicate's train/valid splits, scored on its test split."""
+    terms = data.truth.terms
+    fitted = fit_pipeline(data.train, data.valid, terms, method, scheme, estimator,
+                          lasso_opts, stepwise_opts)
+    raw = fitted.raw_coefs
     selected = raw.selected()
-    test_mse = mse(raw.predict(test_design), data.test.y)
-    return PipelineOutcome(method, scheme, raw, selected, fit,
+    test_mse = mse(raw.predict(expand(data.test.design, terms)), data.test.y)
+    return PipelineOutcome(method, scheme, raw, selected, fitted.fit,
                            score_selection(selected, data.truth, test_mse))
 
 

@@ -168,6 +168,45 @@ class TestFitCommand:
         summary = json.loads((tmp_path / "wide.stepwise.hierarchical.fit.json").read_text())
         assert summary["tuning"]["start"] == "null"
 
+    def test_stepwise_start_from_options_file_unless_flag_given(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((300, 4))  # 14 expanded columns
+        y = x.sum(axis=1) + x[:, 0] * x[:, 1] + rng.standard_normal(300)
+        path = tmp_path / "four.csv"
+        write_csv(path, ["a", "b", "c", "d", "y"], np.column_stack([x, y]).tolist())
+        opts = tmp_path / "stepwise.json"
+        opts.write_text(json.dumps({"start": "null", "max_selected": 3}))
+        args = ["fit", str(path), "--method", "stepwise", "--stepwise-options", str(opts),
+                "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        summary = json.loads((tmp_path / "four.stepwise.hierarchical.fit.json").read_text())
+        assert summary["tuning"]["start"] == "null"
+        capsys.readouterr()
+        assert main(args + ["--start", "full"]) == 2
+        assert "exceeds max_selected=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["hierarchical", "regular"])
+    def test_stepwise_duplicate_column_exit_2(self, tmp_path, capsys, scheme):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((150, 2))
+        y = x[:, 0] + x[:, 0] * x[:, 1] + rng.standard_normal(150)
+        path = tmp_path / "dup.csv"
+        write_csv(path, ["a", "b", "a_copy", "y"], np.column_stack([x, x[:, 0], y]).tolist())
+        rc = main(["fit", str(path), "--method", "stepwise", "--scheme", scheme,
+                   "--seed", "3", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "rank deficient" in capsys.readouterr().err
+
+    def test_manifest_hash_depends_on_scheme(self, dataset_csv, tmp_path):
+        hashes = set()
+        for scheme in ("hierarchical", "regular"):
+            rc = main(["fit", str(dataset_csv), "--scheme", scheme, "--seed", "5",
+                       "--out-dir", str(tmp_path)])
+            assert rc == 0
+            manifest = tmp_path / f"data.lasso.{scheme}.manifest.json"
+            hashes.add(json.loads(manifest.read_text())["config_hash"])
+        assert len(hashes) == 2
+
     def test_missing_response_exit_2(self, dataset_csv, tmp_path, capsys):
         rc = main(["fit", str(dataset_csv), "--response", "zz", "--out-dir", str(tmp_path)])
         assert rc == 2
@@ -229,6 +268,7 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert out.startswith("metric\tstat\t")
         assert "lasso/hierarchical" in out and "msh" in out
+        assert out == (tmp_path / "setting1.report.tsv").read_text()
 
     def test_settings_as_columns_for_multiple_reports(self, tmp_path, capsys):
         for name in ("setting1", "setting4"):
