@@ -191,7 +191,7 @@ def cmd_simulate(args) -> int:
         overrides["replicates"] = args.replicates
     cfg = SettingConfig.from_json_dict({**cfg.to_json_dict(), **overrides})
     cells = _parse_cells(args.methods, args.schemes)
-    lasso_opts, stepwise_opts, _ = _load_selector_options(args)
+    lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
 
     report = run_campaign(cfg, cells=cells, threads=args.threads,
                           lasso_opts=lasso_opts, stepwise_opts=stepwise_opts)
@@ -202,7 +202,8 @@ def cmd_simulate(args) -> int:
     tsv_path = os.path.join(args.out_dir, f"{stem}.report.tsv")
     atomic_write_text(json_path, dump_json(report.to_json_dict()))
     atomic_write_text(tsv_path, campaign_tsv(report))
-    _write_manifest(args.out_dir, " ".join(sys.argv), cfg.to_json_dict(), cfg.master_seed,
+    run_config = {"config": cfg.to_json_dict(), "cells": cells, **option_docs}
+    _write_manifest(args.out_dir, " ".join(sys.argv), run_config, cfg.master_seed,
                     started, [json_path, tsv_path], stem)
 
     print(snr_summary(report))
@@ -342,7 +343,8 @@ def cmd_standardize(args) -> int:
     write_matrix_csv(matrix_path, terms.labels(), z)
     atomic_write_text(params_path, dump_json(params.to_json_dict()))
     _write_manifest(args.out_dir, " ".join(sys.argv),
-                    {"data": args.data, "scheme": args.scheme}, args.seed, started,
+                    {"data": args.data, "scheme": args.scheme, "estimator": args.estimator,
+                     "response": args.response}, args.seed, started,
                     [matrix_path, params_path], stem)
     print(f"wrote {matrix_path} and {params_path}")
     return 0

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
@@ -27,6 +27,11 @@ from .terms import TermSet, main
 # Internal slack for the KKT convergence certificate; one order tighter
 # than the 1e-6 the contract tests assert.
 KKT_SLACK = 1e-7
+
+# A Cholesky pivot with L_kk^2 / G_kk <= RANK_TOL means column k is, to
+# rounding, a combination of the columns before it: the factorization can
+# succeed on such a numerically singular Gram with a tiny positive pivot.
+RANK_TOL = 1e-10
 
 FULL_START = "full"
 NULL_START = "null"
@@ -313,11 +318,15 @@ class _GramSearch:
         idx[0] = 0
         idx[1:] = np.asarray(cols, dtype=np.intp) + 1
         g = self.gram[np.ix_(idx, idx)]
-        try:
-            factor = cho_factor(g, lower=True, check_finite=False)
-        except LinAlgError:
+        # LAPACK directly: cho_factor/cho_solve call these same routines but
+        # add about 20 us of argument checks to every candidate.
+        factor, info = dpotrf(g, lower=1, clean=0)
+        if info != 0:
             return None, math.inf
-        beta = cho_solve(factor, self.zty[idx], check_finite=False)
+        pivots = factor.diagonal()
+        if (pivots * pivots / g.diagonal()).min() <= RANK_TOL:
+            return None, math.inf
+        beta, _ = dpotrs(factor, self.zty[idx], lower=1)
         rss = max(self.yty - float(self.zty[idx] @ beta), 0.0)
         return beta, rss
 

@@ -185,15 +185,24 @@ class TestFitCommand:
         assert main(args + ["--start", "full"]) == 2
         assert "exceeds max_selected=3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scheme", ["hierarchical", "regular"])
-    def test_stepwise_duplicate_column_exit_2(self, tmp_path, capsys, scheme):
-        rng = np.random.default_rng(0)
+    # On the regular-scheme splits other than (0, 3), the Cholesky factor of
+    # the singular Gram has a tiny positive pivot; the rank guard must catch it.
+    @pytest.mark.parametrize("scheme,data_seed,fit_seed", [
+        pytest.param("hierarchical", 0, 3, id="hierarchical"),
+        pytest.param("regular", 0, 3, id="regular"),
+        pytest.param("regular", 0, 1, id="regular-data0-seed1"),
+        pytest.param("regular", 5, 1, id="regular-data5-seed1"),
+        pytest.param("regular", 5, 3, id="regular-data5-seed3"),
+    ])
+    def test_stepwise_duplicate_column_exit_2(self, tmp_path, capsys, scheme, data_seed,
+                                              fit_seed):
+        rng = np.random.default_rng(data_seed)
         x = rng.standard_normal((150, 2))
         y = x[:, 0] + x[:, 0] * x[:, 1] + rng.standard_normal(150)
         path = tmp_path / "dup.csv"
         write_csv(path, ["a", "b", "a_copy", "y"], np.column_stack([x, x[:, 0], y]).tolist())
         rc = main(["fit", str(path), "--method", "stepwise", "--scheme", scheme,
-                   "--seed", "3", "--out-dir", str(tmp_path)])
+                   "--seed", str(fit_seed), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "rank deficient" in capsys.readouterr().err
 
@@ -305,6 +314,28 @@ class TestSelectorOptionFiles:
         rc = main(["fit", str(dataset_csv), "--lasso-options", str(opts),
                    "--out-dir", str(tmp_path)])
         assert rc != 0
+
+
+SIM_ONE = ["simulate", "--preset", "setting1", "--seed", "7", "--replicates", "1"]
+
+
+class TestManifestHash:
+    @pytest.mark.parametrize("command,variant", [
+        (SIM_ONE + ["--methods", "lasso", "--schemes", "hierarchical"],
+         ["--lasso-options", "n_lambda_5.json"]),
+        (SIM_ONE, ["--methods", "lasso"]),
+        (["standardize", "data.csv"], ["--estimator", "median-iqr"]),
+    ], ids=["simulate-lasso-options", "simulate-methods", "standardize-estimator"])
+    def test_hash_covers_every_input(self, dataset_csv, tmp_path, monkeypatch, command,
+                                     variant):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "n_lambda_5.json").write_text(json.dumps({"n_lambda": 5}))
+        hashes = []
+        for out, extra in (("base", []), ("variant", variant)):
+            assert main(command + extra + ["--out-dir", out]) == 0
+            (manifest,) = (tmp_path / out).glob("*.manifest.json")
+            hashes.append(json.loads(manifest.read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
 
 
 class TestStandardizeRoundTrip:

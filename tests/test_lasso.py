@@ -94,7 +94,7 @@ class TestLassoFit:
         x[:, 1] = 4.0
         y = x[:, 0] + rng.standard_normal(30) * 0.1
         fit = lasso_fit(x, y, 0.01)
-        assert fit.coefs.values[1] == 0.0
+        assert fit.converged and fit.coefs.values[1] == 0.0
 
     def test_internal_standardize_off(self):
         rng = np.random.default_rng(17)
