@@ -29,6 +29,7 @@ from .io import (
     atomic_write_text,
     config_hash,
     dump_json,
+    file_sha256,
     read_table,
     write_coefficients_csv,
     write_matrix_csv,
@@ -310,7 +311,7 @@ def cmd_fit(args) -> int:
     json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
     atomic_write_text(json_path, dump_json(summary))
     run_config = {
-        "data": args.data, "split": args.split, "response": args.response,
+        "data": file_sha256(args.data), "split": args.split, "response": args.response,
         "method": args.method, "scheme": args.scheme, "estimator": args.estimator,
         "start": start, **option_docs,
     }
@@ -343,7 +344,8 @@ def cmd_standardize(args) -> int:
     write_matrix_csv(matrix_path, terms.labels(), z)
     atomic_write_text(params_path, dump_json(params.to_json_dict()))
     _write_manifest(args.out_dir, " ".join(sys.argv),
-                    {"data": args.data, "scheme": args.scheme, "estimator": args.estimator,
+                    {"data": file_sha256(args.data), "scheme": args.scheme,
+                     "estimator": args.estimator,
                      "response": args.response}, args.seed, started,
                     [matrix_path, params_path], stem)
     print(f"wrote {matrix_path} and {params_path}")

@@ -112,6 +112,15 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(dump_json(config_dict).encode()).hexdigest()
 
 
+def file_sha256(path) -> str:
+    """SHA-256 of a file's bytes, so a manifest names the data, not its path."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Enough provenance to byte-reproduce a run (timestamps excluded from

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
@@ -32,6 +32,14 @@ KKT_SLACK = 1e-7
 # rounding, a combination of the columns before it: the factorization can
 # succeed on such a numerically singular Gram with a tiny positive pivot.
 RANK_TOL = 1e-10
+
+# Stepwise screen (see _SweepScreen): a move whose model may have a pivot
+# ratio at or below SCREEN_TOL is scored exactly; SCREEN_SLACK multiplies the
+# first-order rounding bound eps * k * (sum |b_i| ||z_i||)^2 of an RSS;
+# AIC_ULP covers last-ulp differences between np.log and math.log.
+SCREEN_TOL = 1e4 * RANK_TOL
+SCREEN_SLACK = 1e3
+AIC_ULP = 1e-12
 
 FULL_START = "full"
 NULL_START = "null"
@@ -48,6 +56,8 @@ class LassoOptions:
     def __post_init__(self):
         if self.n_lambda < 1:
             raise ValueError("n_lambda must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.lambda_min_ratio is not None and not (0 < self.lambda_min_ratio < 1):
@@ -296,9 +306,10 @@ def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
 class _GramSearch:
     """OLS over column subsets via the (intercept-augmented) Gram matrix.
 
-    RSS for a candidate model is yty - c' G^-1 c on the selected block, so
-    each stepwise move costs one small Cholesky solve instead of a refit
-    against the full data.
+    RSS for a model is yty - c' G^-1 c on its selected block, so the exact
+    AIC of one model costs one small Cholesky solve instead of a refit
+    against the full data.  Stepwise runs it only on the moves that the
+    swept-matrix screen (``_SweepScreen``) cannot rule out.
     """
 
     def __init__(self, X, y):
@@ -314,37 +325,173 @@ class _GramSearch:
         self.rss_floor = max(1e-12 * tss, 1e-300)
 
     def solve(self, cols: tuple[int, ...]):
+        """(coefficients, RSS, smallest pivot ratio L_kk^2 / G_kk) of one model;
+        a rank-deficient model has no coefficients and infinite RSS."""
         idx = np.empty(len(cols) + 1, dtype=np.intp)
         idx[0] = 0
         idx[1:] = np.asarray(cols, dtype=np.intp) + 1
-        g = self.gram[np.ix_(idx, idx)]
+        g = self.gram[idx][:, idx]
         # LAPACK directly: cho_factor/cho_solve call these same routines but
         # add about 20 us of argument checks to every candidate.
         factor, info = dpotrf(g, lower=1, clean=0)
         if info != 0:
-            return None, math.inf
+            return None, math.inf, 0.0
         pivots = factor.diagonal()
-        if (pivots * pivots / g.diagonal()).min() <= RANK_TOL:
-            return None, math.inf
+        ratio = float((pivots * pivots / g.diagonal()).min())
+        if ratio <= RANK_TOL:
+            return None, math.inf, ratio
         beta, _ = dpotrs(factor, self.zty[idx], lower=1)
         rss = max(self.yty - float(self.zty[idx] @ beta), 0.0)
-        return beta, rss
+        return beta, rss, ratio
 
-    def aic(self, cols: tuple[int, ...]) -> float:
-        _, rss = self.solve(cols)
+    def aic_of(self, rss: float, n_cols: int) -> float:
         if not math.isfinite(rss):
             return math.inf
-        k = len(cols) + 1
-        return self.n * math.log(max(rss, self.rss_floor) / self.n) + 2 * k
+        return self.n * math.log(max(rss, self.rss_floor) / self.n) + 2 * (n_cols + 1)
+
+    def aic(self, cols: tuple[int, ...]) -> float:
+        return self.aic_of(self.solve(cols)[1], len(cols))
+
+
+class _SweepScreen:
+    """Bounds on the exact AIC of every one-column move, from a swept Gram.
+
+    ``S`` is the intercept-augmented Gram bordered by z'y and y'y, swept
+    (Goodnight 1979) on the intercept and the current columns A.  Its swept
+    block holds -G_AA^-1, its border b = G_AA^-1 c_A, and each unswept
+    column j carries s_j = G_jj - G_jA G_AA^-1 G_Aj on the diagonal and
+    c_j - G_jA b on the border.  Deleting j in A raises the RSS by
+    b_j^2 / (G_AA^-1)_jj; adding j outside A lowers it by
+    (c_j - G_jA b)^2 / s_j.  An accepted move is one sweep of its column.
+    """
+
+    def __init__(self, search: _GramSearch, cols: tuple[int, ...], ratio: float):
+        m1 = search.gram.shape[0]
+        aug = np.empty((m1 + 1, m1 + 1))
+        aug[:m1, :m1] = search.gram
+        aug[:m1, m1] = aug[m1, :m1] = search.zty
+        aug[m1, m1] = search.yty
+        self.swept = np.zeros(m1, dtype=bool)
+        self.swept[0] = True
+        self.swept[np.asarray(cols, dtype=np.intp) + 1] = True
+        # Sweeping A in one go: -G_AA^-1, G_AA^-1 G_A. and the Schur block.
+        a = np.flatnonzero(self.swept)
+        r = np.append(np.flatnonzero(~self.swept), m1)
+        factor, _ = dpotrf(aug[a][:, a], lower=1, clean=1)
+        inv, _ = dpotri(factor, lower=1)
+        inv = np.tril(inv) + np.tril(inv, -1).T
+        cross = aug[a][:, r]
+        w, _ = dpotrs(factor, cross, lower=1)
+        self.S = aug
+        self.S[np.ix_(r, r)] -= cross.T @ w
+        self.S[np.ix_(a, a)] = -inv
+        self.S[np.ix_(a, r)] = w
+        self.S[np.ix_(r, a)] = w.T
+        self.diag = search.gram.diagonal().copy()
+        self.sd = np.sqrt(self.diag)
+        self.search = search
+        # Rounding from a poorly conditioned sweep stays in S after the model
+        # improves, so the bounds use the worst pivot ratio swept through.
+        self.worst = ratio
+
+    def move(self, j: int, ratio: float) -> None:
+        """Sweep column j in or out; ``ratio`` is the new model's smallest
+        pivot ratio."""
+        S = self.S
+        k = j + 1
+        d = S[k, k]
+        col = S[:, k].copy()
+        v = col / math.sqrt(abs(d))
+        if d > 0.0:
+            S -= np.multiply.outer(v, v)
+        else:
+            S += np.multiply.outer(v, v)
+        # Sweeping in and sweeping back out differ only in the sign of the
+        # pivot column.
+        col *= (-1.0 if self.swept[k] else 1.0) / d
+        S[:, k] = col
+        S[k, :] = col
+        S[k, k] = -1.0 / d
+        self.swept[k] = not self.swept[k]
+        self.worst = min(self.worst, ratio)
+
+    def shortlist(self, rss: float, ratio: float, cur_aic: float,
+                  deletions: bool = True, additions: bool = True):
+        """The moves, in canonical order, whose exact AIC may be the step's
+        minimum and beat ``cur_aic``: (column, (lower, upper)), with None
+        for a move whose bounds cannot be trusted.  ``rss`` and ``ratio`` are
+        the current model's exact RSS and smallest pivot ratio."""
+        search = self.search
+        S = self.S
+        inside = self.swept[1:]
+        piv = S.diagonal()[1:-1]
+        border = S[1:-1, -1]
+        in_sd = self.sd * self.swept
+        base = float(np.abs(S[:-1, -1]) @ in_sd)
+        # Summed |coefficient| x ||column|| of each neighbouring model bounds
+        # the rounding of its exact Cholesky RSS (and of this screen's).
+        spread = np.abs(S[1:-1, :-1]) @ in_sd + self.sd[1:] * ~inside
+        n_params = int(self.swept.sum()) + np.where(inside, -1, 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = border / np.abs(piv)
+            new_rss = rss + np.where(inside, step, -step) * border
+            new_ratio = np.where(inside, ratio, ratio * piv / self.diag[1:])
+            err = (SCREEN_SLACK * np.finfo(float).eps * n_params
+                   * ((base + np.abs(step) * spread) ** 2 + search.yty)
+                   / np.minimum(new_ratio, self.worst))
+            n = search.n
+            lo = n * np.log(np.maximum(new_rss - err, search.rss_floor) / n) + 2 * n_params
+            hi = n * np.log(np.maximum(new_rss + err, search.rss_floor) / n) + 2 * n_params
+            # Room for last-ulp differences between np.log and math.log.
+            lo -= AIC_ULP * (np.abs(lo) + 1.0)
+            hi += AIC_ULP * (np.abs(hi) + 1.0)
+            unsure = ~(np.isfinite(lo) & np.isfinite(hi) & (new_ratio > SCREEN_TOL))
+        movable = (inside & deletions) | (~inside & additions)
+        top = hi[movable & ~unsure].min(initial=math.inf)
+        keep = movable & (unsure | ((lo <= top) & (lo < cur_aic)))
+        order = sorted(np.flatnonzero(keep).tolist(), key=lambda j: not inside[j])
+        return [(j, None if unsure[j] else (lo[j], hi[j])) for j in order]
+
+
+def _all_moves(current: tuple[int, ...], m: int, additions: bool) -> list[int]:
+    """Every one-column move in canonical order: deletions, then additions."""
+    in_model = set(current)
+    return list(current) + ([j for j in range(m) if j not in in_model] if additions else [])
+
+
+def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
+    """Exact AIC of each move (a column in the model is deleted, any other
+    added), in the given order.  Returns the per-move AICs and the first
+    strict minimum as (aic, column, columns, solution), or None when no move
+    has a finite AIC."""
+    scores, best = [], None
+    for j in moves:
+        cols = tuple(k for k in current if k != j) if j in current else tuple(sorted(current + (j,)))
+        sol = search.solve(cols)
+        a = search.aic_of(sol[1], len(cols))
+        scores.append(a)
+        if a < (best[0] if best else math.inf):
+            best = (a, j, cols, sol)
+    return scores, best
 
 
 def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | None = None,
                  scale_tag: str = RAW) -> FitResult:
     """Greedy bidirectional search minimizing AIC = n*ln(RSS/n) + 2k.
 
-    Every single-term addition and deletion is evaluated at each step and
+    Every single-term addition and deletion is considered at each step and
     the best strictly-improving move is taken; ties break toward the first
     move in canonical column order, deletions before additions.
+
+    Each step bounds the AIC of all moves at once from the swept Gram of the
+    current model (``_SweepScreen``, updated by one sweep per accepted move).
+    Only moves whose lower bound reaches the smallest upper bound, and that
+    could beat the current AIC, get the exact Cholesky AIC, in canonical
+    order; so do moves whose bound is not finite or whose pivot ratio is
+    near ``RANK_TOL``.  The accepted move, the AIC path and the coefficients
+    are therefore those of scoring every move exactly.  A step whose current
+    model is itself near-singular, or whose exact scores leave their bounds,
+    scores every move exactly.
     """
     opts = opts or StepwiseOptions()
     X = np.asarray(X, dtype=np.float64)
@@ -367,43 +514,48 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         current = ()
 
     search = _GramSearch(X, y)
-    cur_aic = search.aic(current)
+    _, rss, ratio = search.solve(current)
+    cur_aic = search.aic_of(rss, len(current))
     aic_path = [cur_aic]
     moves = 0
+    screen = None
     while True:
-        candidates: list[tuple[int, ...]] = []
-        in_model = set(current)
-        for j in current:
-            candidates.append(tuple(k for k in current if k != j))
-        if len(current) < max_selected:
-            candidates.extend(
-                tuple(sorted(in_model | {j})) for j in range(m) if j not in in_model
-            )
-        best_aic = math.inf
-        best_cols: tuple[int, ...] | None = None
-        for cols in candidates:
-            a = search.aic(cols)
-            if a < best_aic:
-                best_aic = a
-                best_cols = cols
-        if best_cols is None or best_aic >= cur_aic:
+        additions = len(current) < max_selected
+        if screen is None and ratio > SCREEN_TOL:
+            screen = _SweepScreen(search, current, ratio)
+        if screen is not None:
+            short = screen.shortlist(rss, ratio, cur_aic, additions=additions)
+            scores, best = _best_move(search, current, [j for j, _ in short])
+            # An exact score outside its bounds means the bounds cannot be
+            # trusted: score every move exactly and rebuild the screen.
+            if not all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
+                screen = None
+        if screen is None:
+            _, best = _best_move(search, current, _all_moves(current, m, additions))
+        if best is None or best[0] >= cur_aic:
             break
-        current = best_cols
-        cur_aic = best_aic
+        cur_aic, j, current, (_, rss, ratio) = best
         aic_path.append(cur_aic)
         moves += 1
+        if screen is not None and ratio > SCREEN_TOL:
+            screen.move(j, ratio)
+        else:
+            screen = None
 
     # The cap can hide an improving addition; the converged flag certifies
     # a genuine one-move local optimum.
     converged = True
     if len(current) == max_selected and max_selected < m:
-        in_model = set(current)
-        for j in range(m):
-            if j not in in_model and search.aic(tuple(sorted(in_model | {j}))) < cur_aic:
-                converged = False
-                break
+        if ratio > SCREEN_TOL:
+            screen = screen or _SweepScreen(search, current, ratio)
+            adds = [j for j, _ in screen.shortlist(rss, ratio, cur_aic, deletions=False)]
+        else:
+            adds = [j for j in range(m) if j not in current]
+        converged = not any(
+            search.aic(tuple(sorted(current + (j,)))) < cur_aic for j in adds
+        )
 
-    beta, rss = search.solve(current)
+    beta, rss, _ = search.solve(current)
     if beta is None:
         raise SingularDesignError("final stepwise model is rank deficient")
     slopes = np.zeros(m)

@@ -308,6 +308,14 @@ class TestSelectorOptionFiles:
         summary = json.loads((out / "data.lasso.hierarchical.fit.json").read_text())
         assert len(summary["tuning"]["path"]["lambdas"]) == 10
 
+    def test_max_iter_zero_exit_2(self, dataset_csv, tmp_path, capsys):
+        opts = tmp_path / "lasso.json"
+        opts.write_text(json.dumps({"max_iter": 0}))
+        rc = main(["fit", str(dataset_csv), "--method", "lasso", "--lasso-options", str(opts),
+                   "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+
     def test_unknown_option_field_exit_2(self, dataset_csv, tmp_path, capsys):
         opts = tmp_path / "lasso.json"
         opts.write_text(json.dumps({"bogus": 1}))
@@ -333,6 +341,25 @@ class TestManifestHash:
         hashes = []
         for out, extra in (("base", []), ("variant", variant)):
             assert main(command + extra + ["--out-dir", out]) == 0
+            (manifest,) = (tmp_path / out).glob("*.manifest.json")
+            hashes.append(json.loads(manifest.read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "d.csv", "--method", "stepwise", "--scheme", "regular", "--response", "y"],
+        ["standardize", "d.csv", "--response", "y"],
+    ], ids=["fit", "standardize"])
+    def test_hash_covers_data_bytes(self, tmp_path, monkeypatch, command):
+        # Two different datasets written in turn to the same path.
+        monkeypatch.chdir(tmp_path)
+        hashes = []
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((60, 2))
+            write_csv(tmp_path / "d.csv", ["a", "b", "y"],
+                      np.column_stack([x, x[:, 0] + rng.standard_normal(60)]).tolist())
+            out = f"out{seed}"
+            assert main(command + ["--out-dir", out]) == 0
             (manifest,) = (tmp_path / out).glob("*.manifest.json")
             hashes.append(json.loads(manifest.read_text())["config_hash"])
         assert hashes[0] != hashes[1]

@@ -88,6 +88,10 @@ class TestLassoFit:
         assert not fit.converged
         assert fit.iterations == 2
 
+    def test_max_iter_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            LassoOptions(max_iter=0)
+
     def test_constant_column_stays_inert(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((30, 3))

@@ -3,15 +3,22 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hereditas.errors import InfeasibleStartError, SingularDesignError
 from hereditas.selectors import (
     FULL_START,
     NULL_START,
+    FitResult,
     StepwiseOptions,
+    _GramSearch,
+    _SweepScreen,
     ols_fit,
     stepwise_aic,
 )
+from hereditas.standardize import RAW, CoefficientVector
+from hereditas.terms import TermSet, main
 
 
 def oracle_aic(x, y, cols):
@@ -170,3 +177,180 @@ class TestStepwise:
         b = stepwise_aic(x, y)
         assert a.tuning == b.tuning
         np.testing.assert_array_equal(a.coefs.values, b.coefs.values)
+
+
+def reference_stepwise(X, y, opts=None):
+    """The exhaustive search: every move scored by the exact Cholesky AIC."""
+    opts = opts or StepwiseOptions()
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, m = X.shape
+    max_selected = opts.max_selected if opts.max_selected is not None else max(n - 1, 1)
+    if opts.start == FULL_START:
+        if n <= m + 1 or m > max_selected:
+            raise InfeasibleStartError("full-model start is infeasible")
+        current = tuple(range(m))
+    else:
+        current = ()
+    search = _GramSearch(X, y)
+    cur_aic = search.aic(current)
+    aic_path = [cur_aic]
+    while True:
+        candidates = [tuple(k for k in current if k != j) for j in current]
+        if len(current) < max_selected:
+            candidates += [tuple(sorted(current + (j,))) for j in range(m) if j not in current]
+        best_aic, best_cols = math.inf, None
+        for cols in candidates:
+            a = search.aic(cols)
+            if a < best_aic:
+                best_aic, best_cols = a, cols
+        if best_cols is None or best_aic >= cur_aic:
+            break
+        current, cur_aic = best_cols, best_aic
+        aic_path.append(cur_aic)
+    converged = not (len(current) == max_selected < m and any(
+        search.aic(tuple(sorted(current + (j,)))) < cur_aic
+        for j in range(m) if j not in current))
+    beta, _, _ = search.solve(current)
+    if beta is None:
+        raise SingularDesignError("final stepwise model is rank deficient")
+    slopes = np.zeros(m)
+    slopes[list(current)] = beta[1:]
+    terms = TermSet(m, tuple(main(j) for j in range(m)))
+    return FitResult(CoefficientVector(terms, float(beta[0]), slopes, RAW), tuning=cur_aic,
+                     iterations=len(aic_path) - 1, converged=converged,
+                     aic_path=tuple(aic_path))
+
+
+def hard_design(kind, start, seed, m):
+    """A design on which a screened score could disagree with the exact one."""
+    rng = np.random.default_rng(seed)
+    n = m + 2 if kind == "tight" else int(rng.integers(m + 3, 4 * m + 12))
+    if kind == "binary":
+        mains = rng.integers(0, 2, (n, m)).astype(float)
+        X = np.column_stack([mains, mains**2])  # X^2 == X: every square duplicates its main
+    elif kind == "correlated":  # one common factor: pivot ratios down to ~1e-7
+        X = rng.standard_normal((n, 1)) + 10.0 ** -rng.uniform(1, 3.5) * rng.standard_normal((n, m))
+        X *= 10.0 ** rng.uniform(-2, 2, m)
+    else:
+        X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-2, 2, m)
+    a, b = rng.choice(m, 2, replace=False)
+    if kind == "duplicate":
+        X[:, b] = X[:, a]
+    elif kind == "collinear":
+        rel = 10.0 ** -rng.uniform(6, 9)
+        X[:, b] = X[:, a] + rel * np.std(X[:, a]) * rng.standard_normal(n)
+    scale = np.where(np.std(X, axis=0) > 0, np.std(X, axis=0), 1.0)
+    beta = np.where(rng.random(X.shape[1]) < 0.5, 0.0, rng.standard_normal(X.shape[1]) / scale)
+    y = X @ beta + 10.0 ** rng.uniform(-1, 2) * rng.standard_normal()
+    if kind != "exact":  # an exact fit drives every RSS to the floor
+        y += 10.0 ** rng.uniform(-3, 0.5) * rng.standard_normal(n)
+    max_selected = int(rng.integers(1, X.shape[1])) if kind == "capped" else None
+    return X, y, StepwiseOptions(start=start, max_selected=max_selected)
+
+
+def outcome(fit, X, y, opts):
+    try:
+        r = fit(X, y, opts)
+    except (InfeasibleStartError, SingularDesignError) as exc:
+        return type(exc)
+    return (r.aic_path, r.tuning, r.coefs.intercept, r.coefs.values.tobytes(),
+            r.iterations, r.converged)
+
+
+class TestScreenedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["duplicate", "collinear", "binary", "exact", "tight", "capped",
+                            "correlated"]),
+           st.sampled_from([FULL_START, NULL_START]),
+           st.integers(0, 2**32 - 1), st.integers(2, 8))
+    def test_matches_exhaustive_exact_search(self, kind, start, seed, m):
+        X, y, opts = hard_design(kind, start, seed, m)
+        assert outcome(stepwise_aic, X, y, opts) == outcome(reference_stepwise, X, y, opts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_exhaustive_search_on_wide_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((120, 30)) @ (np.eye(30) + 0.3 * rng.standard_normal((30, 30)))
+        y = x[:, :6].sum(axis=1) + 2.0 * rng.standard_normal(120)
+        for start in (FULL_START, NULL_START):
+            opts = StepwiseOptions(start=start)
+            assert outcome(stepwise_aic, x, y, opts) == outcome(reference_stepwise, x, y, opts)
+
+    @pytest.mark.parametrize("start", [FULL_START, NULL_START])
+    def test_bounds_hold_after_poorly_conditioned_steps(self, monkeypatch, start):
+        # Rounding left in the swept matrix by a near-singular model must stay
+        # covered after the search moves on to a well-conditioned one.
+        outside = []
+        shortlist = _SweepScreen.shortlist
+
+        def checked(self, rss, ratio, cur_aic, **kw):
+            moves = shortlist(self, rss, ratio, cur_aic, **kw)
+            current = tuple(np.flatnonzero(self.swept[1:]).tolist())
+            for j, bounds in moves:
+                cols = tuple(sorted(set(current) ^ {j}))
+                if bounds is not None and not bounds[0] <= self.search.aic(cols) <= bounds[1]:
+                    outside.append((j, cols))
+            return moves
+
+        monkeypatch.setattr(_SweepScreen, "shortlist", checked)
+        for seed in range(160, 180):
+            X, y, opts = hard_design("correlated", start, seed, 2 + seed % 7)
+            stepwise_aic(X, y, opts)
+        assert outside == []
+
+    def test_equal_additions_take_the_first_column(self):
+        # Orthogonal +-1 columns with equal x'y score bit-identical AICs.
+        h = np.array([[1, 1, 1, 1, 1, 1, 1, 1], [1, -1, 1, -1, 1, -1, 1, -1],
+                      [1, 1, -1, -1, 1, 1, -1, -1], [1, -1, -1, 1, 1, -1, -1, 1]], float).T
+        x = h[:, 1:]
+        y = 3.0 * x[:, 0] + 3.0 * x[:, 1] + 0.5 * x[:, 2]
+        search = _GramSearch(x, y)
+        assert search.aic((0,)) == search.aic((1,)) < search.aic((2,))
+        fit = stepwise_aic(x, y, StepwiseOptions(start=NULL_START, max_selected=1))
+        assert np.flatnonzero(fit.coefs.values).tolist() == [0]
+        assert not fit.converged
+
+    def test_deletion_wins_an_exact_tie_with_an_addition(self, monkeypatch):
+        # x0 is redundant once x1 and x2 are in; the weight of x3 in y and a
+        # last-ulp nudge of y[0] are bisected until, from the model {0, 1, 2},
+        # deleting x0 and adding x3 score the same AIC to the last bit.
+        rng = np.random.default_rng(0)
+        x1, x2, x3, e0, e = rng.standard_normal((5, 40))
+        x = np.column_stack([(x1 + x2) / math.sqrt(2) + 0.3 * e0, x1, x2, x3])
+
+        def response(c, d=0.0):
+            y = x1 + x2 + c * x3 + 0.5 * e
+            y[0] += d
+            return y
+
+        def gap(c, d=0.0):
+            search = _GramSearch(x, response(c, d))
+            return search.aic((1, 2)) - search.aic((0, 1, 2, 3))
+
+        c = _bisect(gap, 0.2, 0.3)
+        d = _bisect(lambda d: gap(c, d) * math.copysign(1.0, -gap(c, -1e-12)), -1e-12, 1e-12)
+        y = response(c, d)
+        assert gap(c, d) == 0.0
+        opts = StepwiseOptions(start=NULL_START)
+        taken = []
+        move = _SweepScreen.move
+        monkeypatch.setattr(_SweepScreen, "move",
+                            lambda self, j, ratio: (taken.append(j), move(self, j, ratio)))
+        fit = stepwise_aic(x, y, opts)
+        search = _GramSearch(x, y)
+        step = fit.aic_path.index(search.aic((1, 2)))
+        assert fit.aic_path[step - 1] == search.aic((0, 1, 2))
+        assert len(taken) == fit.iterations
+        assert taken[step - 1] == 0  # the deletion of x0, not the addition of x3
+        assert outcome(stepwise_aic, x, y, opts) == outcome(reference_stepwise, x, y, opts)
+
+
+def _bisect(f, lo, hi):
+    """The point of [lo, hi] where f turns non-negative, or an exact zero of f."""
+    while True:
+        mid = (lo + hi) / 2
+        v = f(mid)
+        if v == 0.0 or mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if v < 0 else (lo, mid)
