@@ -21,17 +21,13 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
+from .kernels import RANK_TOL, ROUNDING_ULPS
 from .standardize import RAW, CoefficientVector
 from .terms import TermSet, main
 
 # Internal slack for the KKT convergence certificate; one order tighter
 # than the 1e-6 the contract tests assert.
 KKT_SLACK = 1e-7
-
-# A Cholesky pivot with L_kk^2 / G_kk <= RANK_TOL means column k is, to
-# rounding, a combination of the columns before it: the factorization can
-# succeed on such a numerically singular Gram with a tiny positive pivot.
-RANK_TOL = 1e-10
 
 # Stepwise screen (see _SweepScreen): a move whose model may have a pivot
 # ratio at or below SCREEN_TOL is scored exactly; SCREEN_SLACK multiplies the
@@ -158,6 +154,23 @@ def _lambda_max(prep: _Prepped) -> float:
     return float(np.max(np.abs(prep.XT @ prep.yc)) / prep.XT.shape[1]) * (1.0 + 1e-12)
 
 
+def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
+    """The kernel's Gram X'X/n and its KKT slack, floored at the rounding of X'r/n.
+
+    Raises InvalidDimensionError when y'y or the Gram overflows: no lasso
+    fit or validation MSE is then computable.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        yty = float(prep.yc @ prep.yc)
+        gram = prep.XT @ prep.XT.T / prep.XT.shape[1]
+    if not (math.isfinite(yty) and np.all(np.isfinite(gram))):
+        raise InvalidDimensionError("response or design too large: y'y or X'X overflows")
+    # |x_j'r/n| is at most the column's rms times the residual's, and the
+    # residual starts as yc.
+    scale = float(np.max(np.abs(prep.yc)) * np.sqrt(np.max(prep.col_nrm2, initial=0.0)))
+    return gram, max(KKT_SLACK, ROUNDING_ULPS * np.finfo(float).eps * scale)
+
+
 def _finish(prep, b, lam, sweeps, converged, terms, scale_tag) -> FitResult:
     slopes = b / prep.x_scale  # exact zeros stay exact
     intercept = prep.y_mean - float(slopes @ prep.x_mean)
@@ -174,10 +187,11 @@ def lasso_fit(X, y, lam, opts: LassoOptions | None = None, terms: TermSet | None
         raise ValueError("lambda must be nonnegative")
     opts = opts or LassoOptions()
     prep = _prepare(X, y, opts.internal_standardize)
+    gram, kkt_tol = _solver_inputs(prep)
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
     sweeps, converged = kernels.cd_solve(
-        prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol, KKT_SLACK, opts.max_iter
+        prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol, kkt_tol, opts.max_iter, gram
     )
     return _finish(prep, b, float(lam), sweeps, converged, terms, scale_tag)
 
@@ -205,12 +219,13 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
     if lambdas is None:
         lambdas = _lambda_grid(prep, opts)
     lambdas = np.asarray(lambdas, dtype=np.float64)
+    gram, kkt_tol = _solver_inputs(prep)
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
     fits = []
     for lam in lambdas:
         sweeps, converged = kernels.cd_solve(
-            prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol, KKT_SLACK, opts.max_iter
+            prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol, kkt_tol, opts.max_iter, gram
         )
         fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, terms, scale_tag))
     return lambdas, fits
@@ -315,11 +330,15 @@ class _GramSearch:
     def __init__(self, X, y):
         n = X.shape[0]
         z = np.column_stack([np.ones(n), X])
-        self.gram = z.T @ z
-        self.zty = z.T @ y
-        self.yty = float(y @ y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.gram = z.T @ z
+            self.zty = z.T @ y
+            self.yty = float(y @ y)
+            tss = float(np.sum((y - y.mean()) ** 2))
+        if not (math.isfinite(self.yty) and np.all(np.isfinite(self.zty))
+                and np.all(np.isfinite(self.gram))):
+            raise InvalidDimensionError("response or design too large: y'y, z'y or z'z overflows")
         self.n = n
-        tss = float(np.sum((y - y.mean()) ** 2))
         # Floor keeps log(RSS) finite on exact fits and makes AIC comparisons
         # between equally perfect models fall back to the 2k penalty.
         self.rss_floor = max(1e-12 * tss, 1e-300)

@@ -206,6 +206,16 @@ class TestFitCommand:
         assert rc == 2
         assert "rank deficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["lasso", "stepwise"])
+    def test_overflowing_response_exit_2(self, tmp_path, capsys, method):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((60, 3))
+        path = tmp_path / "huge.csv"
+        write_csv(path, ["a", "b", "c", "y"], np.column_stack([x, 1e200 * x[:, 0]]).tolist())
+        rc = main(["fit", str(path), "--method", method, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "overflows" in capsys.readouterr().err
+
     def test_manifest_hash_depends_on_scheme(self, dataset_csv, tmp_path):
         hashes = set()
         for scheme in ("hierarchical", "regular"):

@@ -1,8 +1,18 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hereditas import kernels
+from hereditas.errors import InvalidDimensionError
 from hereditas.selectors import (
+    KKT_SLACK,
     LassoOptions,
+    _finish,
+    _lambda_grid,
+    _prepare,
     fit_lasso_path,
     lambda_path,
     lasso_fit,
@@ -11,6 +21,7 @@ from hereditas.selectors import (
     ols_fit,
     tune_lasso,
 )
+from hereditas.standardize import RAW
 
 
 def random_problem(rng, n=40, m=6, snr=3.0):
@@ -186,3 +197,194 @@ class TestTuneLasso:
         b = tune_lasso((x, y), (xv, yv))
         assert a.best_lambda == b.best_lambda
         np.testing.assert_array_equal(a.fit.coefs.values, b.fit.coefs.values)
+
+
+class TestLargeMagnitudes:
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicate"])
+    def test_converges_at_any_response_scale(self, duplicate):
+        # Rounding in b and in X'r/n grows with the response; the thresholds
+        # must grow with it or the certificate is never met.  With a
+        # duplicated column the exact step holds one copy fixed.
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((30, 3))
+        if duplicate:
+            x = np.column_stack([x, x[:, 0]])
+        y = x[:, 0] + 0.5 * rng.standard_normal(30)
+        unit = lasso_fit(x, y, 0.01, LassoOptions(max_iter=2000))
+        assert unit.converged
+        for c in (1e10, 1e12):
+            fit = lasso_fit(x, c * y, 0.01 * c, LassoOptions(max_iter=2000))
+            assert fit.converged
+            np.testing.assert_allclose(x @ fit.coefs.values / c, x @ unit.coefs.values,
+                                       rtol=1e-6, atol=1e-6 * np.abs(x @ unit.coefs.values).max())
+            if not duplicate:
+                np.testing.assert_allclose(fit.coefs.values / c, unit.coefs.values, rtol=1e-6)
+
+    def test_overflowing_response_rejected_fast(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((30, 3))
+        y = 1e200 * x[:, 0]
+        start = time.perf_counter()
+        with pytest.raises(InvalidDimensionError, match="overflows"):
+            tune_lasso((x, y), (x, y))
+        with pytest.raises(InvalidDimensionError, match="overflows"):
+            lasso_fit(x, y, 1.0)
+        assert time.perf_counter() - start < 5.0
+
+
+def reference_cd(XT, r, b, col_nrm2, lam, tol, kkt_tol, max_sweeps):
+    """Plain cyclic coordinate descent: the kernel before exact active-set steps."""
+    m, n = XT.shape
+    inv_n = 1.0 / n
+    sweeps = 0
+    converged = False
+    for _ in range(max_sweeps):
+        sweeps += 1
+        max_delta = 0.0
+        for j in range(m):
+            vj = col_nrm2[j]
+            if vj <= 0.0:
+                continue
+            g = np.dot(XT[j], r) * inv_n
+            z = g + vj * b[j]
+            b_new = (z - lam if z > lam else z + lam if z < -lam else 0.0) / vj
+            d = b_new - b[j]
+            if d != 0.0:
+                r -= d * XT[j]
+                b[j] = b_new
+            if abs(d) > max_delta:
+                max_delta = abs(d)
+        if max_delta <= tol and _reference_kkt_ok(XT, r, b, col_nrm2, lam, kkt_tol, inv_n):
+            converged = True
+            break
+    return sweeps, converged
+
+
+def _reference_kkt_ok(XT, r, b, col_nrm2, lam, kkt_tol, inv_n):
+    for j in range(XT.shape[0]):
+        if col_nrm2[j] <= 0.0:
+            continue
+        g = np.dot(XT[j], r) * inv_n
+        if b[j] != 0.0:
+            if abs(g - lam * np.sign(b[j])) > kkt_tol:
+                return False
+        elif abs(g) > lam + kkt_tol:
+            return False
+    return True
+
+
+def reference_path(X, y, lambdas, opts):
+    """fit_lasso_path with the plain coordinate-descent kernel."""
+    prep = _prepare(X, y, opts.internal_standardize)
+    b = np.zeros(prep.XT.shape[0])
+    r = prep.yc.copy()
+    fits = []
+    for lam in lambdas:
+        sweeps, converged = reference_cd(prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol,
+                                         KKT_SLACK, opts.max_iter)
+        fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, None, RAW))
+    return fits
+
+
+def lasso_design(kind, seed):
+    """A design on which an active-set solve could go wrong; full_rank says
+    whether its lasso coefficients, and so its supports, are unique."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 9))
+    n = int(rng.integers(2, m + 1)) if kind == "wide" else int(rng.integers(m + 5, 4 * m + 20))
+    X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-1, 1, m)
+    a, b = rng.choice(m, 2, replace=False)
+    if kind == "duplicate":
+        X[:, b] = X[:, a]
+    elif kind == "near_copy":
+        rel = 10.0 ** -rng.uniform(6, 9)
+        X[:, b] = X[:, a] + rel * np.std(X[:, a]) * rng.standard_normal(n)
+    elif kind == "binary":
+        mains = rng.integers(0, 2, (n, m)).astype(float)
+        X = np.column_stack([mains, mains**2])  # X^2 == X: every square duplicates its main
+    elif kind == "constant":
+        X[:, a] = 3.0
+    beta = np.where(rng.random(X.shape[1]) < 0.4, 0.0, rng.standard_normal(X.shape[1]))
+    y = X @ beta + 10.0 ** rng.uniform(-2, 0.5) * rng.standard_normal(n) + rng.standard_normal()
+    full_rank = kind in ("gaussian", "constant", "above_max")
+    return X, y, full_rank
+
+
+class TestExactStepMatchesPlainDescent:
+    """Differential oracle: the kernel against plain coordinate descent."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["gaussian", "duplicate", "near_copy", "binary", "constant", "wide",
+                            "above_max"]),
+           st.integers(0, 2**32 - 1))
+    def test_whole_paths_match(self, kind, seed):
+        X, y, full_rank = lasso_design(kind, seed)
+        # Plain descent can zigzag along a near-copy pair until max_iter.
+        opts = LassoOptions(n_lambda=30, max_iter=2000)
+        prep = _prepare(X, y, True)
+        grid = _lambda_grid(prep, opts)
+        lambdas = grid[0] * np.array([4.0, 1.5, 1.0]) if kind == "above_max" else np.append(grid, 0.0)
+        _, fits = fit_lasso_path(X, y, opts, lambdas=lambdas)
+        ref = reference_path(X, y, lambdas, opts)
+        for lam, fit, old in zip(lambdas, fits, ref):
+            assert fit.converged or not old.converged
+            kkt = max(lasso_kkt_residual(X, y, fit, lam))
+            assert kkt <= 1e-6
+            obj, obj_ref = lasso_objective(X, y, fit, lam), lasso_objective(X, y, old, lam)
+            diff = (fit.coefs.values - old.coefs.values) * prep.x_scale
+            # By convexity, a point within kkt of the KKT conditions is worse
+            # than any other point by at most kkt * ||b - b'||_1.  Along a
+            # near-copy pair, where the objective is almost flat, plain descent
+            # certifies anywhere within that, so that is the room a tie needs.
+            room = 1e-10 * max(1.0, obj_ref) + kkt * np.abs(diff).sum()
+            assert obj <= obj_ref + room
+            # The objective is strongly convex in the fit X b, so fitted values
+            # are unique at the optimum: (1/2n)||X(b - b')||^2 <= obj' - obj + room.
+            gap = diff @ prep.XT
+            assert gap @ gap / (2 * len(y)) <= obj_ref - obj + room
+            if full_rank:
+                assert fit.converged and old.converged
+                assert obj <= obj_ref + 1e-10 * max(1.0, obj_ref)
+                pred, pred_ref = fit.coefs.predict(X), old.coefs.predict(X)
+                assert np.max(np.abs(pred - pred_ref)) <= 1e-5 * max(1.0, np.max(np.abs(pred_ref)))
+                if lam > 0.0:
+                    np.testing.assert_array_equal(fit.coefs.values != 0.0,
+                                                  old.coefs.values != 0.0)
+        if kind == "above_max":
+            assert all(np.all(f.coefs.values == 0.0) for f in fits)
+
+    def test_sweep_count_on_a_gaussian_path(self):
+        rng = np.random.default_rng(50)
+        X = rng.standard_normal((200, 65))
+        y = X[:, :10] @ rng.standard_normal(10) + 2.0 * rng.standard_normal(200)
+        opts = LassoOptions()
+        _, fits = fit_lasso_path(X, y, opts)
+        assert all(f.converged for f in fits)
+        assert sum(f.iterations for f in fits) <= 4 * opts.n_lambda
+
+
+class TestKernelSeam:
+    def test_path_calls_kernel_positionally_once_per_lambda(self, monkeypatch):
+        # perfbench's tracer wraps kernels.cd_solve and reads XT from args[0],
+        # col_nrm2 from args[3] and (sweeps, converged) from the result.
+        calls = []
+        solve = kernels.cd_solve
+
+        def counting(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(kernels, "cd_solve", counting)
+        rng = np.random.default_rng(60)
+        x, y = random_problem(rng, n=40, m=6)
+        lambdas, fits = fit_lasso_path(x, y, LassoOptions(n_lambda=12))
+        assert len(calls) == len(lambdas) == 12
+        for (args, kwargs, result), fit in zip(calls, fits):
+            assert kwargs == {}
+            xt, col_nrm2 = args[0], args[3]
+            assert xt.shape == (6, 40)
+            np.testing.assert_allclose(col_nrm2, np.mean(xt * xt, axis=1), rtol=1e-12)
+            sweeps, converged = result
+            assert isinstance(sweeps, int) and isinstance(converged, bool)
+            assert (sweeps, converged) == (fit.iterations, fit.converged)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hereditas.errors import InfeasibleStartError, SingularDesignError
+from hereditas.errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
 from hereditas.selectors import (
     FULL_START,
     NULL_START,
@@ -80,6 +80,21 @@ class TestOlsFit:
 
 
 class TestStepwise:
+    @pytest.mark.parametrize("start", [FULL_START, NULL_START])
+    def test_overflowing_response_rejected(self, start):
+        # y'y overflows, so every AIC would be inf and no move could win.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 3))
+        with pytest.raises(InvalidDimensionError, match="overflows"):
+            stepwise_aic(x, 1e200 * x[:, 0], StepwiseOptions(start=start))
+
+    def test_overflowing_design_rejected(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 3))
+        x[:, 2] *= 1e200
+        with pytest.raises(InvalidDimensionError, match="overflows"):
+            stepwise_aic(x, x[:, 0], StepwiseOptions(start=NULL_START))
+
     def test_perfect_predictor_selected_alone(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((30, 3))
