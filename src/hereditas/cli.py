@@ -34,6 +34,7 @@ from .io import (
     write_coefficients_csv,
     write_matrix_csv,
 )
+from .metrics import mse
 from .report import campaign_tsv, multi_report_tsv, snr_summary
 from .selectors import FULL_START, NULL_START, LassoOptions, StepwiseOptions
 from .simulate import (
@@ -93,13 +94,10 @@ def _load_selector_options(args):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("HEREDITAS_THREADS", "1")),
-        help="replicate worker threads (default: HEREDITAS_THREADS or 1)",
-    )
     p.add_argument("--out-dir", default=".", help="directory for output files")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv",
                    help="stdout rendering of the result summary")
 
@@ -121,8 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list among lasso,stepwise")
     sim.add_argument("--schemes", default=",".join(SCHEMES),
                      help="comma list among hierarchical,regular")
+    sim.add_argument("--threads", type=int, default=int(os.environ.get("HEREDITAS_THREADS", "1")),
+                     help="replicate worker threads (default: HEREDITAS_THREADS or 1)")
     _add_selector_options(sim)
     _add_common(sim)
+    _add_format(sim)
 
     fit = sub.add_parser("fit", help="fit a selector to a CSV dataset")
     fit.add_argument("data", help="CSV file with a header row")
@@ -135,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stepwise starting model (auto: full when feasible)")
     _add_selector_options(fit)
     _add_common(fit)
+    _add_format(fit)
 
     std = sub.add_parser("standardize", help="write the standardized expanded design")
     std.add_argument("data", help="CSV file with a header row")
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("report_json", nargs="+",
                      help="one or more *.report.json files (several give a "
                           "settings-as-columns table)")
-    rep.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    _add_format(rep)
     return parser
 
 
@@ -289,8 +291,7 @@ def cmd_fit(args) -> int:
     test_design = expand(x_te, terms)
 
     ok, violators = check_heredity(raw)
-    resid = raw.predict(test_design) - y_te
-    test_mse = float(resid @ resid) / len(y_te)
+    test_mse = mse(raw.predict(test_design), y_te)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.method}.{args.scheme}"

@@ -107,7 +107,8 @@ def cd_solve(XT, r, b, col_nrm2, lam, tol, kkt_tol, max_sweeps, gram):
             if abs(d) > max_delta:
                 max_delta = abs(d)
         change_tol = _change_tol(b, tol)
-        if max_delta <= change_tol and _kkt_ok(XT, r, b, col_nrm2, lam, kkt_tol, inv_n):
+        if (max_delta <= change_tol
+                and max(kkt_violations(XT @ r * inv_n, b, col_nrm2, lam)) <= kkt_tol):
             converged = True
             break
         if signs.any() and np.array_equal(np.sign(b), signs):
@@ -184,10 +185,12 @@ def _move(XT, r, b, step, t_max, lam):
     return zeroed
 
 
-def _kkt_ok(XT, r, b, col_nrm2, lam, kkt_tol, inv_n):
-    g = XT @ r * inv_n
+def kkt_violations(g, b, col_nrm2, lam):
+    """Largest KKT violations (active, inactive) of b, given the gradient
+    g = X'r/n: |g_j - lam * sign(b_j)| over live nonzero coefficients, and
+    |g_j| - lam, floored at zero, over live zero ones."""
     live = col_nrm2 > 0.0
     active = live & (b != 0.0)
     inactive = live & (b == 0.0)
-    return bool(np.all(np.abs(g[active] - lam * np.sign(b[active])) <= kkt_tol)
-                and np.all(np.abs(g[inactive]) <= lam + kkt_tol))
+    return (float(np.max(np.abs(g[active] - lam * np.sign(b[active])), initial=0.0)),
+            float(np.max(np.abs(g[inactive]) - lam, initial=0.0)))

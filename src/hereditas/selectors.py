@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
 from .kernels import RANK_TOL, ROUNDING_ULPS
+from .metrics import mse
 from .standardize import RAW, CoefficientVector
 from .terms import TermSet, main
 
@@ -119,18 +120,25 @@ class _Prepped:
     yc: np.ndarray
 
 
-def _prepare(X, y, internal_standardize: bool) -> _Prepped:
+def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, checked: X 2-d with one row per entry of y,
+    and every entry finite."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2:
-        raise InvalidDimensionError(f"X must be 2-d, got shape {X.shape}")
-    n, m = X.shape
-    if y.shape[0] != n:
-        raise InvalidDimensionError(f"y has {y.shape[0]} rows, X has {n}")
-    if n < 2:
-        raise InvalidDimensionError("need at least 2 rows")
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise InvalidDimensionError(
+            f"X must be 2-d with one row per response entry, got shapes {X.shape} and {y.shape}"
+        )
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise InvalidDimensionError("inputs contain non-finite entries")
+    return X, y
+
+
+def _prepare(X, y, internal_standardize: bool) -> _Prepped:
+    X, y = _as_xy(X, y)
+    n, m = X.shape
+    if n < 2:
+        raise InvalidDimensionError("need at least 2 rows")
     x_mean = X.mean(axis=0)
     XT = np.ascontiguousarray((X - x_mean).T)
     if internal_standardize:
@@ -144,14 +152,6 @@ def _prepare(X, y, internal_standardize: bool) -> _Prepped:
     col_nrm2 = np.mean(XT * XT, axis=1)
     y_mean = float(y.mean())
     return _Prepped(XT, col_nrm2, x_mean, x_scale, y_mean, y - y_mean)
-
-
-def _lambda_max(prep: _Prepped) -> float:
-    if prep.XT.shape[0] == 0:
-        return 0.0
-    # Nudged up so the all-zero guarantee survives last-ulp differences
-    # between this dot product and the kernel's own summation order.
-    return float(np.max(np.abs(prep.XT @ prep.yc)) / prep.XT.shape[1]) * (1.0 + 1e-12)
 
 
 def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
@@ -174,8 +174,6 @@ def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
 def _finish(prep, b, lam, sweeps, converged, terms, scale_tag) -> FitResult:
     slopes = b / prep.x_scale  # exact zeros stay exact
     intercept = prep.y_mean - float(slopes @ prep.x_mean)
-    if terms is None:
-        terms = _default_terms(len(slopes))
     coefs = CoefficientVector(terms, intercept, slopes, scale_tag)
     return FitResult(coefs, tuning=lam, iterations=sweeps, converged=converged)
 
@@ -185,15 +183,7 @@ def lasso_fit(X, y, lam, opts: LassoOptions | None = None, terms: TermSet | None
     """Solve one lasso problem from a cold start."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    opts = opts or LassoOptions()
-    prep = _prepare(X, y, opts.internal_standardize)
-    gram, kkt_tol = _solver_inputs(prep)
-    b = np.zeros(prep.XT.shape[0])
-    r = prep.yc.copy()
-    sweeps, converged = kernels.cd_solve(
-        prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol, kkt_tol, opts.max_iter, gram
-    )
-    return _finish(prep, b, float(lam), sweeps, converged, terms, scale_tag)
+    return fit_lasso_path(X, y, opts, terms, scale_tag, lambdas=[lam])[1][0]
 
 
 def lambda_path(X, y, opts: LassoOptions | None = None) -> np.ndarray:
@@ -203,7 +193,10 @@ def lambda_path(X, y, opts: LassoOptions | None = None) -> np.ndarray:
 
 
 def _lambda_grid(prep: _Prepped, opts: LassoOptions) -> np.ndarray:
-    lam_max = _lambda_max(prep)
+    # lambda_max is nudged up so the all-zero guarantee survives last-ulp
+    # differences between this dot product and the kernel's summation order.
+    peak = np.max(np.abs(prep.XT @ prep.yc), initial=0.0)
+    lam_max = float(peak / prep.XT.shape[1]) * (1.0 + 1e-12)
     if opts.n_lambda == 1 or lam_max == 0.0:
         return np.full(opts.n_lambda, lam_max)
     ratio = opts.resolve_min_ratio(len(prep.yc), prep.XT.shape[0])
@@ -222,6 +215,8 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
     gram, kkt_tol = _solver_inputs(prep)
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
+    if terms is None:
+        terms = _default_terms(len(b))
     fits = []
     for lam in lambdas:
         sweeps, converged = kernels.cd_solve(
@@ -261,52 +256,36 @@ def tune_lasso(train, valid, opts: LassoOptions | None = None, terms: TermSet | 
     """
     x_tr, y_tr = train
     x_va, y_va = valid
-    x_va = np.asarray(x_va, dtype=np.float64)
-    y_va = np.asarray(y_va, dtype=np.float64).ravel()
     lambdas, fits = fit_lasso_path(x_tr, y_tr, opts, terms, scale_tag)
-    mses = np.empty(len(fits))
-    best = 0
-    for i, fit in enumerate(fits):
-        resid = fit.coefs.predict(x_va) - y_va
-        mses[i] = float(resid @ resid) / len(y_va)
-        if mses[i] < mses[best]:
-            best = i
+    mses = np.array([mse(fit.coefs.predict(x_va), y_va) for fit in fits])
+    best = int(np.argmin(mses))  # the first minimum
     return TunedLasso(lambdas, mses, best, fits[best])
 
 
 def lasso_kkt_residual(X, y, fit: FitResult, lam: float,
                        opts: LassoOptions | None = None) -> tuple[float, float]:
     """Max KKT violations (active, inactive) on the internally standardized scale."""
-    opts = opts or LassoOptions()
-    prep = _prepare(X, y, opts.internal_standardize)
-    b = fit.coefs.values * prep.x_scale
-    r = prep.yc - prep.XT.T @ b
-    g = prep.XT @ r / len(prep.yc)
-    live = prep.col_nrm2 > 0.0
-    active = live & (b != 0.0)
-    inactive = live & (b == 0.0)
-    active_viol = float(np.max(np.abs(g[active] - lam * np.sign(b[active])), initial=0.0))
-    inactive_viol = float(np.max(np.abs(g[inactive]) - lam, initial=0.0))
-    return active_viol, max(inactive_viol, 0.0)
+    prep, b, r = _solver_scale(X, y, fit, opts)
+    return kernels.kkt_violations(prep.XT @ r / len(prep.yc), b, prep.col_nrm2, lam)
 
 
 def lasso_objective(X, y, fit: FitResult, lam: float,
                     opts: LassoOptions | None = None) -> float:
     """(1/2n)RSS + lam*l1 evaluated on the internally standardized scale."""
-    opts = opts or LassoOptions()
-    prep = _prepare(X, y, opts.internal_standardize)
+    prep, b, r = _solver_scale(X, y, fit, opts)
+    return float(r @ r) / (2 * len(prep.yc)) + lam * float(np.sum(np.abs(b)))
+
+
+def _solver_scale(X, y, fit: FitResult, opts: LassoOptions | None):
+    """The solver's inputs, and a fit's coefficients and residual, on its scale."""
+    prep = _prepare(X, y, (opts or LassoOptions()).internal_standardize)
     b = fit.coefs.values * prep.x_scale
-    r = prep.yc - prep.XT.T @ b
-    n = len(prep.yc)
-    return float(r @ r) / (2 * n) + lam * float(np.sum(np.abs(b)))
+    return prep, b, prep.yc - prep.XT.T @ b
 
 
 def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
     """Least squares with an intercept; raises on rank-deficient designs."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise InvalidDimensionError("X must be 2-d with one row per response entry")
+    X, y = _as_xy(X, y)
     n, m = X.shape
     if n < m + 1:
         raise SingularDesignError(f"need at least {m + 1} rows for {m} columns, got {n}")
@@ -381,31 +360,20 @@ class _SweepScreen:
     column j carries s_j = G_jj - G_jA G_AA^-1 G_Aj on the diagonal and
     c_j - G_jA b on the border.  Deleting j in A raises the RSS by
     b_j^2 / (G_AA^-1)_jj; adding j outside A lowers it by
-    (c_j - G_jA b)^2 / s_j.  An accepted move is one sweep of its column.
+    (c_j - G_jA b)^2 / s_j.  The screen is built by sweeping the intercept,
+    then each column of A in order, with the one rank-one sweep that an
+    accepted move applies to its column.
     """
 
     def __init__(self, search: _GramSearch, cols: tuple[int, ...], ratio: float):
         m1 = search.gram.shape[0]
-        aug = np.empty((m1 + 1, m1 + 1))
-        aug[:m1, :m1] = search.gram
-        aug[:m1, m1] = aug[m1, :m1] = search.zty
-        aug[m1, m1] = search.yty
+        self.S = np.empty((m1 + 1, m1 + 1))
+        self.S[:m1, :m1] = search.gram
+        self.S[:m1, m1] = self.S[m1, :m1] = search.zty
+        self.S[m1, m1] = search.yty
         self.swept = np.zeros(m1, dtype=bool)
-        self.swept[0] = True
-        self.swept[np.asarray(cols, dtype=np.intp) + 1] = True
-        # Sweeping A in one go: -G_AA^-1, G_AA^-1 G_A. and the Schur block.
-        a = np.flatnonzero(self.swept)
-        r = np.append(np.flatnonzero(~self.swept), m1)
-        factor, _ = dpotrf(aug[a][:, a], lower=1, clean=1)
-        inv, _ = dpotri(factor, lower=1)
-        inv = np.tril(inv) + np.tril(inv, -1).T
-        cross = aug[a][:, r]
-        w, _ = dpotrs(factor, cross, lower=1)
-        self.S = aug
-        self.S[np.ix_(r, r)] -= cross.T @ w
-        self.S[np.ix_(a, a)] = -inv
-        self.S[np.ix_(a, r)] = w
-        self.S[np.ix_(r, a)] = w.T
+        for j in (-1, *cols):
+            self._sweep(j + 1)
         self.diag = search.gram.diagonal().copy()
         self.sd = np.sqrt(self.diag)
         self.search = search
@@ -416,8 +384,12 @@ class _SweepScreen:
     def move(self, j: int, ratio: float) -> None:
         """Sweep column j in or out; ``ratio`` is the new model's smallest
         pivot ratio."""
+        self._sweep(j + 1)
+        self.worst = min(self.worst, ratio)
+
+    def _sweep(self, k: int) -> None:
+        """Sweep row and column k of S in or out."""
         S = self.S
-        k = j + 1
         d = S[k, k]
         col = S[:, k].copy()
         v = col / math.sqrt(abs(d))
@@ -432,7 +404,6 @@ class _SweepScreen:
         S[k, :] = col
         S[k, k] = -1.0 / d
         self.swept[k] = not self.swept[k]
-        self.worst = min(self.worst, ratio)
 
     def shortlist(self, rss: float, ratio: float, cur_aic: float,
                   deletions: bool = True, additions: bool = True):
@@ -472,10 +443,12 @@ class _SweepScreen:
         return [(j, None if unsure[j] else (lo[j], hi[j])) for j in order]
 
 
-def _all_moves(current: tuple[int, ...], m: int, additions: bool) -> list[int]:
-    """Every one-column move in canonical order: deletions, then additions."""
+def _all_moves(current: tuple[int, ...], m: int, deletions: bool,
+               additions: bool) -> list[int]:
+    """Every allowed one-column move in canonical order: deletions, then additions."""
     in_model = set(current)
-    return list(current) + ([j for j in range(m) if j not in in_model] if additions else [])
+    return ((list(current) if deletions else [])
+            + ([j for j in range(m) if j not in in_model] if additions else []))
 
 
 def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
@@ -492,6 +465,25 @@ def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
         if a < (best[0] if best else math.inf):
             best = (a, j, cols, sol)
     return scores, best
+
+
+def _step(search: _GramSearch, screen: _SweepScreen | None, current: tuple[int, ...],
+          rss: float, ratio: float, cur_aic: float, deletions: bool = True,
+          additions: bool = True):
+    """The best allowed move from ``current``, as ``_best_move`` gives it, and
+    the screen to keep.  On a well-conditioned model only the moves that the
+    screen (built if there is none) shortlists are scored exactly; otherwise,
+    or when an exact score leaves its bounds, every allowed move is, and no
+    screen is kept."""
+    if screen is None and ratio > SCREEN_TOL:
+        screen = _SweepScreen(search, current, ratio)
+    if screen is not None:
+        short = screen.shortlist(rss, ratio, cur_aic, deletions=deletions, additions=additions)
+        scores, best = _best_move(search, current, [j for j, _ in short])
+        if all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
+            return best, screen
+    moves = _all_moves(current, search.gram.shape[0] - 1, deletions, additions)
+    return _best_move(search, current, moves)[1], None
 
 
 def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | None = None,
@@ -513,10 +505,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     scores every move exactly.
     """
     opts = opts or StepwiseOptions()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise InvalidDimensionError("X must be 2-d with one row per response entry")
+    X, y = _as_xy(X, y)
     n, m = X.shape
     max_selected = opts.max_selected if opts.max_selected is not None else max(n - 1, 1)
     if opts.start == FULL_START:
@@ -539,18 +528,8 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     moves = 0
     screen = None
     while True:
-        additions = len(current) < max_selected
-        if screen is None and ratio > SCREEN_TOL:
-            screen = _SweepScreen(search, current, ratio)
-        if screen is not None:
-            short = screen.shortlist(rss, ratio, cur_aic, additions=additions)
-            scores, best = _best_move(search, current, [j for j, _ in short])
-            # An exact score outside its bounds means the bounds cannot be
-            # trusted: score every move exactly and rebuild the screen.
-            if not all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
-                screen = None
-        if screen is None:
-            _, best = _best_move(search, current, _all_moves(current, m, additions))
+        best, screen = _step(search, screen, current, rss, ratio, cur_aic,
+                             additions=len(current) < max_selected)
         if best is None or best[0] >= cur_aic:
             break
         cur_aic, j, current, (_, rss, ratio) = best
@@ -564,24 +543,16 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     # The cap can hide an improving addition; the converged flag certifies
     # a genuine one-move local optimum.
     converged = True
-    if len(current) == max_selected and max_selected < m:
-        if ratio > SCREEN_TOL:
-            screen = screen or _SweepScreen(search, current, ratio)
-            adds = [j for j, _ in screen.shortlist(rss, ratio, cur_aic, deletions=False)]
-        else:
-            adds = [j for j in range(m) if j not in current]
-        converged = not any(
-            search.aic(tuple(sorted(current + (j,)))) < cur_aic for j in adds
-        )
+    if len(current) == max_selected < m:
+        best, _ = _step(search, screen, current, rss, ratio, cur_aic, deletions=False)
+        converged = best is None or best[0] >= cur_aic
 
     beta, rss, _ = search.solve(current)
     if beta is None:
         raise SingularDesignError("final stepwise model is rank deficient")
     slopes = np.zeros(m)
     slopes[list(current)] = beta[1:]
-    intercept = float(beta[0])
-    if terms is None:
-        terms = _default_terms(m)
-    coefs = CoefficientVector(terms, intercept, slopes, scale_tag)
+    coefs = CoefficientVector(_default_terms(m) if terms is None else terms, float(beta[0]),
+                              slopes, scale_tag)
     return FitResult(coefs, tuning=cur_aic, iterations=moves, converged=converged,
                      aic_path=tuple(aic_path))

@@ -11,6 +11,7 @@ column independently, so its back-transform leaves selections uncoupled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ ZERO_CENTER_TOL = 1e-12
 
 # Default shift, as a fraction of the column scale (keeps it dimensionless).
 DEFAULT_DELTA = 1e-3
+
+# Largest center or scale whose square, and so every raw-scale product of
+# two mains' centers and scales in the back-transform, is finite.
+SQRT_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -171,10 +176,21 @@ class CoefficientVector:
         return rows
 
 
+def _sample_sd(x: np.ndarray) -> np.ndarray:
+    """np.std(x, axis=0, ddof=1), taken again on x / max|x| wherever squaring
+    the deviations overflowed: a spread of 1e300 is representable."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = np.std(x, axis=0, ddof=1)
+        if np.all(np.isfinite(sd)):
+            return sd
+        peak = np.max(np.abs(x), axis=0)
+        return np.where(np.isfinite(sd), sd, peak * np.std(x / peak, axis=0, ddof=1))
+
+
 def _column_location_scale(col: np.ndarray, estimator: str) -> tuple[float, float]:
     if estimator == MEAN_SD:
         center = float(np.mean(col))
-        scale = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
+        scale = float(_sample_sd(col)) if col.size > 1 else 0.0
     else:
         center = float(np.median(col))
         q1, q3 = np.quantile(col, [0.25, 0.75])  # type-7 linear interpolation
@@ -199,6 +215,8 @@ def fit_location_scale(raw, estimator: str = MEAN_SD, delta: float = DEFAULT_DEL
         center, scale = _column_location_scale(x[:, j], estimator)
         if scale <= 0.0 or not np.isfinite(scale):
             raise DegenerateColumnError(main(j).label())
+        if max(abs(center), scale) > SQRT_MAX:
+            raise InvalidDimensionError(f"column {main(j).label()} too large: its square overflows")
         centers[j] = center
         scales[j] = scale
         if abs(center) < ZERO_CENTER_TOL:
@@ -233,7 +251,7 @@ def standardize_regular(raw, terms: TermSet) -> tuple[np.ndarray, RegularParams]
     """Expand first, then center/scale every column independently to mean 0, SD 1."""
     e = expand(raw, terms)
     centers = e.mean(axis=0)
-    scales = e.std(axis=0, ddof=1) if e.shape[0] > 1 else np.zeros(len(terms))
+    scales = _sample_sd(e) if e.shape[0] > 1 else np.zeros(len(terms))
     bad = np.flatnonzero((scales <= 0.0) | ~np.isfinite(scales))
     if bad.size:
         raise DegenerateColumnError(terms.terms[bad[0]].label())

@@ -219,7 +219,8 @@ def _main_values(raw) -> np.ndarray:
 def expand(raw, terms: TermSet) -> np.ndarray:
     """Build the n-by-|terms| design: X_j, X_j*X_k, X_j^2 columns in term order.
 
-    Accepts a RawDesign or a plain (n, p) array.
+    Accepts a RawDesign or a plain (n, p) array.  Raises InvalidDimensionError
+    when a product overflows.
     """
     x = _main_values(raw)
     if x.shape[1] != terms.p:
@@ -227,11 +228,15 @@ def expand(raw, terms: TermSet) -> np.ndarray:
             f"design has {x.shape[1]} mains but the term set expects p={terms.p}"
         )
     out = np.empty((x.shape[0], len(terms)), dtype=np.float64)
-    for col, t in enumerate(terms.terms):
-        if t.kind == MAIN:
-            out[:, col] = x[:, t.i]
-        elif t.kind == QUAD:
-            out[:, col] = x[:, t.i] * x[:, t.i]
-        else:
-            out[:, col] = x[:, t.i] * x[:, t.j]
+    try:
+        with np.errstate(over="raise"):
+            for col, t in enumerate(terms.terms):
+                if t.kind == MAIN:
+                    out[:, col] = x[:, t.i]
+                elif t.kind == QUAD:
+                    out[:, col] = x[:, t.i] * x[:, t.i]
+                else:
+                    out[:, col] = x[:, t.i] * x[:, t.j]
+    except FloatingPointError:
+        raise InvalidDimensionError(f"column {t.label()} overflows") from None
     return out

@@ -216,6 +216,42 @@ class TestFitCommand:
         assert rc == 2
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", [1e150, 1e160])
+    def test_overflowing_design_fits_or_names_the_overflow(self, tmp_path, capsys, c):
+        # At 1e150 the second-order columns (~1e300) and their spreads are
+        # representable though their squares are not; at 1e160 the raw-scale
+        # model's products overflow.  A RuntimeWarning fails the suite.
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal(60)
+        x = rng.standard_normal((60, 2)) * c
+        path = tmp_path / "big.csv"
+        write_csv(path, ["X1", "X2", "y"], np.column_stack([x, y]).tolist())
+        for method in ("lasso", "stepwise"):
+            for scheme in ("hierarchical", "regular"):
+                for estimator in ("mean-sd", "median-iqr"):
+                    out = tmp_path / f"{method}-{scheme}-{estimator}"
+                    rc = main(["fit", str(path), "--method", method, "--scheme", scheme,
+                               "--estimator", estimator, "--out-dir", str(out)])
+                    err = capsys.readouterr().err
+                    assert "Warning" not in err
+                    if c < 1e154:
+                        assert rc == 0, err
+                        (summary,) = out.glob("*.fit.json")
+                        assert np.isfinite(json.loads(summary.read_text())["test_mse"])
+                        (coefs,) = out.glob("*.coefficients.csv")
+                        with open(coefs) as fh:
+                            values = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+                        assert np.all(np.isfinite(values))
+                    else:
+                        assert rc == 2
+                        assert err.startswith("error: ") and "overflows" in err
+
+    def test_threads_flag_rejected(self, dataset_csv, tmp_path):
+        # --threads runs simulate's replicate workers; fit has none to run.
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(dataset_csv), "--threads", "2", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_manifest_hash_depends_on_scheme(self, dataset_csv, tmp_path):
         hashes = set()
         for scheme in ("hierarchical", "regular"):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hereditas import kernels
+from hereditas import kernels, selectors
 from hereditas.errors import InvalidDimensionError
 from hereditas.selectors import (
     KKT_SLACK,
     LassoOptions,
+    _default_terms,
     _finish,
     _lambda_grid,
     _prepare,
@@ -278,11 +279,12 @@ def reference_path(X, y, lambdas, opts):
     prep = _prepare(X, y, opts.internal_standardize)
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
+    terms = _default_terms(len(b))
     fits = []
     for lam in lambdas:
         sweeps, converged = reference_cd(prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol,
                                          KKT_SLACK, opts.max_iter)
-        fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, None, RAW))
+        fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, terms, RAW))
     return fits
 
 
@@ -388,3 +390,16 @@ class TestKernelSeam:
             sweeps, converged = result
             assert isinstance(sweeps, int) and isinstance(converged, bool)
             assert (sweeps, converged) == (fit.iterations, fit.converged)
+
+
+class TestDefaultTerms:
+    def test_path_builds_one_default_term_set(self, monkeypatch):
+        calls = []
+        build = selectors._default_terms
+        monkeypatch.setattr(selectors, "_default_terms",
+                            lambda m: (calls.append(m), build(m))[1])
+        rng = np.random.default_rng(61)
+        x, y = random_problem(rng, n=40, m=6)
+        _, fits = fit_lasso_path(x, y, LassoOptions(n_lambda=12))
+        assert calls == [6]
+        assert len({id(f.coefs.terms) for f in fits}) == 1

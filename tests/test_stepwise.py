@@ -88,6 +88,17 @@ class TestStepwise:
         with pytest.raises(InvalidDimensionError, match="overflows"):
             stepwise_aic(x, 1e200 * x[:, 0], StepwiseOptions(start=start))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["design", "response"])
+    def test_non_finite_input_rejected(self, bad, where):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((30, 3))
+        y = x[:, 0] + rng.standard_normal(30)
+        (x if where == "design" else y)[4] = bad
+        for fit in (stepwise_aic, ols_fit):
+            with pytest.raises(InvalidDimensionError, match="non-finite"):
+                fit(x, y)
+
     def test_overflowing_design_rejected(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 3))
