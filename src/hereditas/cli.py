@@ -119,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list among lasso,stepwise")
     sim.add_argument("--schemes", default=",".join(SCHEMES),
                      help="comma list among hierarchical,regular")
-    sim.add_argument("--threads", type=int, default=int(os.environ.get("HEREDITAS_THREADS", "1")),
-                     help="replicate worker threads (default: HEREDITAS_THREADS or 1)")
+    sim.add_argument("--threads", type=int, default=1, help="replicate worker processes")
     _add_selector_options(sim)
     _add_common(sim)
     _add_format(sim)
@@ -185,6 +184,8 @@ def _parse_cells(methods: str, schemes: str):
 
 def cmd_simulate(args) -> int:
     started = _now()
+    if args.threads < 1:
+        raise InvalidConfigError("--threads must be at least 1")
     if args.preset is not None:
         cfg = preset(args.preset)
     else:

@@ -15,9 +15,9 @@ its minimizer cannot raise the objective.
 
 The guards:
 
-- The factorization is pivoted.  A column whose pivot ratio
-  ``L_kk^2 / G_kk`` is at or below ``RANK_TOL`` (a duplicated column, an
-  active set wider than n) is held fixed, and the others are solved for.
+- On a block that fails the rank test (``cholesky``), a column whose pivoted
+  ratio ``L_kk^2 / G_kk`` is at or below ``RANK_TOL`` (a duplicated column,
+  an active set wider than n) is held fixed, and the others are solved for.
 - A step that would flip a sign stops at the first coefficient it zeroes
   (at lam = 0 the objective has no kinks, and it does not stop).
 - After a full step, one held column moves along the direction that its
@@ -36,7 +36,6 @@ bound here, such as the per-layer tracer in ``perfbench/``, sees every call.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dpstrf
 
 # Names the solver; recorded by the benchmark's environment probe.
 KERNEL = "python"
@@ -121,38 +120,65 @@ def _change_tol(b, tol):
     return max(tol, ROUNDING_ULPS * np.finfo(float).eps * float(np.max(np.abs(b), initial=0.0)))
 
 
+def cholesky(g, k=None):
+    """The rank test: the lower Cholesky factor of g and its smallest pivot
+    ratio L_jj^2 / g_jj over the columns of ``g[:k]`` (all by default).  A
+    ratio at or below RANK_TOL marks g singular; so does a factorization
+    that fails, as (None, 0.0)."""
+    try:
+        factor = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    pivots = factor.diagonal()[:k]
+    return factor, float((pivots * pivots / g.diagonal()[:k]).min())
+
+
+def pivoted_cholesky(g):
+    """Complete-pivoting Cholesky of g scaled to unit diagonal (Higham 1990,
+    the rule of LAPACK's dpstf2): each step takes the largest remaining
+    diagonal, and the factorization stops once that is at or below RANK_TOL.
+    Returns the positions of the columns it keeps, in pivot order, and of
+    the others."""
+    sd = np.sqrt(g.diagonal())
+    s = g / np.multiply.outer(sd, sd)
+    piv = np.arange(len(s))
+    for rank in range(len(s)):
+        p = rank + int(np.argmax(s[piv[rank:], piv[rank:]]))
+        if not s[piv[p], piv[p]] > RANK_TOL:
+            return piv[:rank], piv[rank:]
+        piv[[rank, p]] = piv[[p, rank]]
+        v = s[:, piv[rank]] / np.sqrt(s[piv[rank], piv[rank]])
+        s -= np.multiply.outer(v, v)
+    return piv, piv[:0]
+
+
 def _exact_step(XT, r, b, signs, lam, inv_n, gram, change_tol):
     """Move b toward the minimizer on the face sign(b) == signs.
 
-    A pivoted Cholesky factorization of the active Gram block, scaled to unit
-    diagonal, keeps the columns whose pivot ratio stays above RANK_TOL (the
-    free set F) and holds the others fixed.  b moves to F's exact solution,
-    or, if that flips a sign, as far as the first coefficient it zeroes.
-    After a full move, the first held column k moves along e_k - G_FF^-1 G_Fk
-    to the objective's minimum on that line or to the first coefficient it
-    zeroes.  The objective is convex on every segment taken and falls along
-    it, so no move can raise it.
+    When the active Gram block passes the rank test every active column is
+    free; otherwise a pivoted Cholesky keeps the columns whose pivot ratio
+    stays above RANK_TOL (the free set F) and holds the others fixed.  b
+    moves to F's exact solution, or, if that flips a sign, as far as the
+    first coefficient it zeroes.  After a full move, the first held column k
+    moves along e_k - G_FF^-1 G_Fk to the objective's minimum on that line
+    or to the first coefficient it zeroes.  The objective is convex on every
+    segment taken and falls along it, so no move can raise it.
     """
     active = np.flatnonzero(signs)
-    g_aa = gram[np.ix_(active, active)]
-    unit = 1.0 / np.sqrt(g_aa.diagonal())
-    # Live columns have a positive diagonal, so rank >= 1.
-    factor, piv, rank, _ = dpstrf(g_aa * np.outer(unit, unit), tol=RANK_TOL, lower=1)
-    free, held = active[piv[:rank] - 1], active[piv[rank:] - 1]
-    unit_f = unit[piv[:rank] - 1]
-    chol = factor[:rank, :rank]
-
-    def solve(rhs):  # G_FF^-1 rhs through the unit-diagonal factor
-        return unit_f * dpotrs(chol, unit_f * rhs, lower=1)[0]
-
+    g_ff = gram[np.ix_(active, active)]
+    free, held = active, active[:0]
+    if cholesky(g_ff)[1] <= RANK_TOL:
+        keep, drop = pivoted_cholesky(g_ff)
+        free, held = active[keep], active[drop]
+        g_ff = g_ff[np.ix_(keep, keep)]
     step = np.zeros(len(b))
-    step[free] = solve((XT @ r)[free] * inv_n - lam * signs[free])
+    step[free] = np.linalg.solve(g_ff, (XT @ r)[free] * inv_n - lam * signs[free])
     zeroed = _move(XT, r, b, step, 1.0, lam)
     if zeroed or not held.size:
         return
     k = held[0]
     line = np.zeros(len(b))
-    line[free] = -solve(gram[free, k])
+    line[free] = -np.linalg.solve(g_ff, gram[free, k])
     line[k] = 1.0
     fit_line = line @ XT
     # On the line the objective is -slope * t + curv * t^2 / 2, both taken

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
@@ -76,14 +75,11 @@ class LassoOptions:
 @dataclass(frozen=True)
 class StepwiseOptions:
     start: str = FULL_START
-    direction: str = "both"
     max_selected: int | None = None  # defaults to n - 1 at fit time
 
     def __post_init__(self):
         if self.start not in (FULL_START, NULL_START):
             raise ValueError(f"start must be {FULL_START!r} or {NULL_START!r}")
-        if self.direction != "both":
-            raise ValueError("only bidirectional search is supported")
         if self.max_selected is not None and self.max_selected < 1:
             raise ValueError("max_selected must be at least 1")
 
@@ -181,8 +177,6 @@ def _finish(prep, b, lam, sweeps, converged, terms, scale_tag) -> FitResult:
 def lasso_fit(X, y, lam, opts: LassoOptions | None = None, terms: TermSet | None = None,
               scale_tag: str = RAW) -> FitResult:
     """Solve one lasso problem from a cold start."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     return fit_lasso_path(X, y, opts, terms, scale_tag, lambdas=[lam])[1][0]
 
 
@@ -212,6 +206,8 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
     if lambdas is None:
         lambdas = _lambda_grid(prep, opts)
     lambdas = np.asarray(lambdas, dtype=np.float64)
+    if not (np.all(np.isfinite(lambdas)) and np.all(lambdas >= 0.0)):
+        raise ValueError("every lambda must be finite and nonnegative")
     gram, kkt_tol = _solver_inputs(prep)
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
@@ -298,49 +294,45 @@ def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
 
 
 class _GramSearch:
-    """OLS over column subsets via the (intercept-augmented) Gram matrix.
-
-    RSS for a model is yty - c' G^-1 c on its selected block, so the exact
-    AIC of one model costs one small Cholesky solve instead of a refit
-    against the full data.  Stepwise runs it only on the moves that the
+    """OLS over column subsets via the bordered Gram [[z'z, z'y], [y'z, c]]
+    of z = [1, X].  The Cholesky factor of a model's bordered block ends in
+    the row w = L^-1 z_A'y, so its RSS is y'y - w'w: one small factorization
+    per exact AIC.  The corner c = 2 y'y + 1 exceeds w'w = y'y - RSS, so the
+    last pivot stays positive.  Stepwise runs it only on the moves that the
     swept-matrix screen (``_SweepScreen``) cannot rule out.
     """
 
     def __init__(self, X, y):
-        n = X.shape[0]
-        z = np.column_stack([np.ones(n), X])
+        self.n, self.m = X.shape
+        z = np.column_stack([np.ones(self.n), X])
+        self.bordered = np.empty((self.m + 2, self.m + 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            self.gram = z.T @ z
-            self.zty = z.T @ y
+            self.bordered[:-1, :-1] = z.T @ z
+            self.bordered[:-1, -1] = self.bordered[-1, :-1] = z.T @ y
             self.yty = float(y @ y)
             tss = float(np.sum((y - y.mean()) ** 2))
-        if not (math.isfinite(self.yty) and np.all(np.isfinite(self.zty))
-                and np.all(np.isfinite(self.gram))):
+        if not (math.isfinite(self.yty) and np.all(np.isfinite(self.bordered[:-1]))):
             raise InvalidDimensionError("response or design too large: y'y, z'y or z'z overflows")
-        self.n = n
+        self.bordered[-1, -1] = 2.0 * self.yty + 1.0
         # Floor keeps log(RSS) finite on exact fits and makes AIC comparisons
         # between equally perfect models fall back to the 2k penalty.
         self.rss_floor = max(1e-12 * tss, 1e-300)
 
     def solve(self, cols: tuple[int, ...]):
-        """(coefficients, RSS, smallest pivot ratio L_kk^2 / G_kk) of one model;
-        a rank-deficient model has no coefficients and infinite RSS."""
-        idx = np.empty(len(cols) + 1, dtype=np.intp)
-        idx[0] = 0
-        idx[1:] = np.asarray(cols, dtype=np.intp) + 1
-        g = self.gram[idx][:, idx]
-        # LAPACK directly: cho_factor/cho_solve call these same routines but
-        # add about 20 us of argument checks to every candidate.
-        factor, info = dpotrf(g, lower=1, clean=0)
-        if info != 0:
-            return None, math.inf, 0.0
-        pivots = factor.diagonal()
-        ratio = float((pivots * pivots / g.diagonal()).min())
+        """(RSS, smallest pivot ratio L_kk^2 / G_kk, bordered factor) of one
+        model; a rank-deficient model has infinite RSS and no factor."""
+        idx = np.array((-1, *cols, self.m), dtype=np.intp) + 1
+        factor, ratio = kernels.cholesky(self.bordered[idx][:, idx], -1)
         if ratio <= RANK_TOL:
-            return None, math.inf, ratio
-        beta, _ = dpotrs(factor, self.zty[idx], lower=1)
-        rss = max(self.yty - float(self.zty[idx] @ beta), 0.0)
-        return beta, rss, ratio
+            return math.inf, ratio, None
+        w = factor[-1, :-1]
+        return max(self.yty - float(w @ w), 0.0), ratio, factor
+
+    def coefficients(self, cols: tuple[int, ...]):
+        """One model's least-squares coefficients, intercept first, or None
+        when it is rank deficient."""
+        factor = self.solve(cols)[2]
+        return None if factor is None else np.linalg.solve(factor[:-1, :-1].T, factor[-1, :-1])
 
     def aic_of(self, rss: float, n_cols: int) -> float:
         if not math.isfinite(rss):
@@ -348,13 +340,13 @@ class _GramSearch:
         return self.n * math.log(max(rss, self.rss_floor) / self.n) + 2 * (n_cols + 1)
 
     def aic(self, cols: tuple[int, ...]) -> float:
-        return self.aic_of(self.solve(cols)[1], len(cols))
+        return self.aic_of(self.solve(cols)[0], len(cols))
 
 
 class _SweepScreen:
     """Bounds on the exact AIC of every one-column move, from a swept Gram.
 
-    ``S`` is the intercept-augmented Gram bordered by z'y and y'y, swept
+    ``S`` is the search's bordered Gram (its corner enters no bound), swept
     (Goodnight 1979) on the intercept and the current columns A.  Its swept
     block holds -G_AA^-1, its border b = G_AA^-1 c_A, and each unswept
     column j carries s_j = G_jj - G_jA G_AA^-1 G_Aj on the diagonal and
@@ -366,15 +358,11 @@ class _SweepScreen:
     """
 
     def __init__(self, search: _GramSearch, cols: tuple[int, ...], ratio: float):
-        m1 = search.gram.shape[0]
-        self.S = np.empty((m1 + 1, m1 + 1))
-        self.S[:m1, :m1] = search.gram
-        self.S[:m1, m1] = self.S[m1, :m1] = search.zty
-        self.S[m1, m1] = search.yty
-        self.swept = np.zeros(m1, dtype=bool)
+        self.S = search.bordered.copy()
+        self.swept = np.zeros(search.m + 1, dtype=bool)
         for j in (-1, *cols):
             self._sweep(j + 1)
-        self.diag = search.gram.diagonal().copy()
+        self.diag = search.bordered.diagonal()[:-1]
         self.sd = np.sqrt(self.diag)
         self.search = search
         # Rounding from a poorly conditioned sweep stays in S after the model
@@ -460,7 +448,7 @@ def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
     for j in moves:
         cols = tuple(k for k in current if k != j) if j in current else tuple(sorted(current + (j,)))
         sol = search.solve(cols)
-        a = search.aic_of(sol[1], len(cols))
+        a = search.aic_of(sol[0], len(cols))
         scores.append(a)
         if a < (best[0] if best else math.inf):
             best = (a, j, cols, sol)
@@ -482,7 +470,7 @@ def _step(search: _GramSearch, screen: _SweepScreen | None, current: tuple[int, 
         scores, best = _best_move(search, current, [j for j, _ in short])
         if all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
             return best, screen
-    moves = _all_moves(current, search.gram.shape[0] - 1, deletions, additions)
+    moves = _all_moves(current, search.m, deletions, additions)
     return _best_move(search, current, moves)[1], None
 
 
@@ -522,7 +510,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         current = ()
 
     search = _GramSearch(X, y)
-    _, rss, ratio = search.solve(current)
+    rss, ratio, _ = search.solve(current)
     cur_aic = search.aic_of(rss, len(current))
     aic_path = [cur_aic]
     moves = 0
@@ -532,7 +520,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
                              additions=len(current) < max_selected)
         if best is None or best[0] >= cur_aic:
             break
-        cur_aic, j, current, (_, rss, ratio) = best
+        cur_aic, j, current, (rss, ratio, _) = best
         aic_path.append(cur_aic)
         moves += 1
         if screen is not None and ratio > SCREEN_TOL:
@@ -547,7 +535,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         best, _ = _step(search, screen, current, rss, ratio, cur_aic, deletions=False)
         converged = best is None or best[0] >= cur_aic
 
-    beta, rss, _ = search.solve(current)
+    beta = search.coefficients(current)
     if beta is None:
         raise SingularDesignError("final stepwise model is rank deficient")
     slopes = np.zeros(m)

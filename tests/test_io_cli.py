@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hereditas
 from hereditas.cli import main, split_sizes
 from hereditas.errors import InvalidDimensionError
 from hereditas.io import atomic_write_text, read_table
@@ -82,6 +86,21 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_cli_import_loads_numpy_only():
+    # numpy is the one runtime dependency: past numpy and the standard
+    # library, importing the CLI loads no top-level package but hereditas.
+    code = ("import sys, numpy\n"
+            "def tops(): return {m for m, mod in list(sys.modules.items())\n"
+            "                    if '.' not in m and hasattr(mod, '__path__')}\n"
+            "before = tops()\n"
+            "from hereditas.cli import main\n"
+            "print(sorted(tops() - before - set(sys.stdlib_module_names)))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hereditas.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "['hereditas']"
+
+
 class TestSimulateCommand:
     def test_smoke_and_determinism_across_threads(self, tmp_path):
         args = ["simulate", "--preset", "setting1", "--seed", "7", "--replicates", "2",
@@ -116,6 +135,12 @@ class TestSimulateCommand:
     def test_bad_method_exit_2(self, capsys):
         rc = main(["simulate", "--preset", "setting1", "--methods", "ridge"])
         assert rc == 2
+
+    def test_threads_below_one_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "setting1", "--replicates", "1", "--threads", "0",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
 
     def test_median_iqr_preset_runs(self, tmp_path):
         rc = main(["simulate", "--preset", "R3", "--replicates", "2",
@@ -325,6 +350,16 @@ class TestReportCommand:
         assert "lasso/hierarchical" in out and "msh" in out
         assert out == (tmp_path / "setting1.report.tsv").read_text()
 
+    def test_ignores_the_environment(self, tmp_path, monkeypatch, capsys):
+        # No environment variable sets a default: a stray one changes nothing.
+        rc = main(["simulate", "--preset", "setting1", "--replicates", "1", "--methods", "lasso",
+                   "--schemes", "hierarchical", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        monkeypatch.setenv("HEREDITAS_THREADS", "abc")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "setting1.report.json")]) == 0
+        assert capsys.readouterr().out.startswith("metric\tstat\t")
+
     def test_settings_as_columns_for_multiple_reports(self, tmp_path, capsys):
         for name in ("setting1", "setting4"):
             cfg = preset(name).to_json_dict()
@@ -361,6 +396,14 @@ class TestSelectorOptionFiles:
                    "--out-dir", str(tmp_path / "fit")])
         assert rc == 2
         assert "max_iter must be at least 1" in capsys.readouterr().err
+
+    def test_direction_is_an_unknown_stepwise_option(self, dataset_csv, tmp_path, capsys):
+        opts = tmp_path / "stepwise.json"
+        opts.write_text(json.dumps({"direction": "both"}))
+        rc = main(["fit", str(dataset_csv), "--method", "stepwise",
+                   "--stepwise-options", str(opts), "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "unknown stepwise options: ['direction']" in capsys.readouterr().err
 
     def test_unknown_option_field_exit_2(self, dataset_csv, tmp_path, capsys):
         opts = tmp_path / "lasso.json"

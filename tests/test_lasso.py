@@ -123,6 +123,18 @@ class TestLassoFit:
         with pytest.raises(ValueError):
             lasso_fit(np.ones((3, 1)), np.ones(3), -0.1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        x, y = random_problem(np.random.default_rng(18))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lasso_fit(x, y, lam)
+
+    @pytest.mark.parametrize("lambdas", [[-0.1], [0.5, -1e-300], [0.1, float("nan")]])
+    def test_path_rejects_a_bad_lambda(self, lambdas):
+        x, y = random_problem(np.random.default_rng(19))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_lasso_path(x, y, lambdas=lambdas)
+
 
 class TestLambdaPath:
     def test_single_point_is_lambda_max(self):
@@ -403,3 +415,25 @@ class TestDefaultTerms:
         _, fits = fit_lasso_path(x, y, LassoOptions(n_lambda=12))
         assert calls == [6]
         assert len({id(f.coefs.terms) for f in fits}) == 1
+
+
+class TestPivotedCholesky:
+    def test_keeps_an_independent_set_of_a_rank_deficient_block(self):
+        rng = np.random.default_rng(62)
+        a, b, c = rng.standard_normal((3, 50))
+        X = np.column_stack([a, b, a, a + b, c])
+        gram = X.T @ X / 50
+        assert kernels.cholesky(gram)[1] <= kernels.RANK_TOL
+        keep, drop = kernels.pivoted_cholesky(gram)
+        assert len(keep) == 3 and sorted(np.r_[keep, drop].tolist()) == list(range(5))
+        # In pivot order the kept block factors with every ratio above RANK_TOL.
+        factor, ratio = kernels.cholesky(gram[np.ix_(keep, keep)])
+        assert factor is not None and ratio > kernels.RANK_TOL
+        # Each held column is a combination of the kept ones.
+        coef = np.linalg.lstsq(X[:, keep], X[:, drop], rcond=None)[0]
+        np.testing.assert_allclose(X[:, keep] @ coef, X[:, drop], atol=1e-10)
+
+    def test_a_full_rank_block_keeps_every_column(self):
+        x = np.random.default_rng(63).standard_normal((40, 6))
+        keep, drop = kernels.pivoted_cholesky(x.T @ x)
+        assert sorted(keep.tolist()) == list(range(6)) and drop.size == 0

@@ -237,7 +237,7 @@ def reference_stepwise(X, y, opts=None):
     converged = not (len(current) == max_selected < m and any(
         search.aic(tuple(sorted(current + (j,)))) < cur_aic
         for j in range(m) if j not in current))
-    beta, _, _ = search.solve(current)
+    beta = search.coefficients(current)
     if beta is None:
         raise SingularDesignError("final stepwise model is rank deficient")
     slopes = np.zeros(m)
