@@ -30,6 +30,7 @@ from .io import (
     config_hash,
     dump_json,
     file_sha256,
+    from_json_fields,
     read_table,
     write_coefficients_csv,
     write_matrix_csv,
@@ -87,8 +88,9 @@ def _load_selector_options(args):
     """The parsed option files and the JSON documents they hold (None when not given)."""
     lasso = _read_json(args.lasso_options)
     stepwise = _read_json(args.stepwise_options)
-    return (None if lasso is None else LassoOptions.from_json_dict(lasso),
-            None if stepwise is None else StepwiseOptions.from_json_dict(stepwise),
+    return (None if lasso is None else from_json_fields(LassoOptions, lasso, "lasso option"),
+            None if stepwise is None else from_json_fields(StepwiseOptions, stepwise,
+                                                           "stepwise option"),
             {"lasso_options": lasso, "stepwise_options": stepwise})
 
 
@@ -189,11 +191,9 @@ def cmd_simulate(args) -> int:
     if args.preset is not None:
         cfg = preset(args.preset)
     else:
-        cfg = SettingConfig.from_json_dict(_read_json(args.config))
-    overrides = {"master_seed": args.seed}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    cfg = SettingConfig.from_json_dict({**cfg.to_json_dict(), **overrides})
+        cfg = from_json_fields(SettingConfig, _read_json(args.config), "config field")
+    replicates = cfg.replicates if args.replicates is None else args.replicates
+    cfg = replace(cfg, master_seed=args.seed, replicates=replicates)
     cells = _parse_cells(args.methods, args.schemes)
     lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
 
@@ -354,8 +354,17 @@ def cmd_standardize(args) -> int:
     return 0
 
 
+def _read_report(path) -> dict:
+    """The campaign report at path, checked for the fields the table reads."""
+    doc = _read_json(path)
+    if not (isinstance(doc, dict) and isinstance(doc.get("config"), dict)
+            and "name" in doc["config"] and isinstance(doc.get("cells"), list)):
+        raise InvalidConfigError(f"{path}: not a campaign report (no config.name or no cells)")
+    return doc
+
+
 def cmd_report(args) -> int:
-    docs = [_read_json(path) for path in args.report_json]
+    docs = [_read_report(path) for path in args.report_json]
     if args.format == "json":
         sys.stdout.write(dump_json(docs if len(docs) > 1 else docs[0]))
     else:

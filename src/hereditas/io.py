@@ -8,11 +8,11 @@ import io as _io
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidConfigError, InvalidDimensionError
 from .standardize import CoefficientVector
 
 
@@ -35,6 +35,30 @@ def atomic_write_text(path, text: str) -> None:
 def dump_json(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# The field annotations each JSON value type may fill: an int also fills a
+# float field, a bool only a bool field, and null only a "| None" one.
+_JSON_KINDS = {bool: {"bool"}, int: {"int", "float"}, float: {"float"}, str: {"str"},
+               type(None): {"None"}}
+
+
+def from_json_fields(cls, doc, what: str):
+    """The dataclass cls built from a JSON object of its fields.  Raises
+    InvalidConfigError, naming ``what`` (e.g. "lasso option"), when doc is
+    not an object, names an unknown field, or holds a value whose type is
+    not its field's.  The annotations are read as written, so cls's module
+    must postpone their evaluation (``from __future__ import annotations``)."""
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"expected a JSON object of {what}s, got {type(doc).__name__}")
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(doc) - set(annotations)
+    if unknown:
+        raise InvalidConfigError(f"unknown {what}s: {sorted(unknown)}")
+    for name, value in doc.items():
+        if not _JSON_KINDS.get(type(value), set()) & set(annotations[name].split(" | ")):
+            raise InvalidConfigError(f"{what} {name!r} must be {annotations[name]}, got {value!r}")
+    return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -63,7 +87,7 @@ def read_table(path) -> TabularFile:
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise InvalidDimensionError(f"{path}: duplicate column names in header")
-        rows = []
+        linenos, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -71,23 +95,32 @@ def read_table(path) -> TabularFile:
                 raise InvalidDimensionError(
                     f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise InvalidDimensionError(
-                        f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
-                    ) from None
-                if not np.isfinite(v):
-                    raise InvalidDimensionError(
-                        f"{path}: row {lineno}, column {name!r}: non-finite value"
-                    )
-                parsed.append(v)
-            rows.append(parsed)
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                name, cell = next((n, c) for n, c in zip(header, row) if not _is_number(c))
+                raise InvalidDimensionError(
+                    f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
+                ) from None
+            linenos.append(lineno)
     if not rows:
         raise InvalidDimensionError(f"{path}: no data rows")
-    return TabularFile(tuple(header), np.asarray(rows, dtype=np.float64))
+    data = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidDimensionError(
+            f"{path}: row {linenos[i]}, column {header[j]!r}: non-finite value"
+        )
+    return TabularFile(tuple(header), data)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def write_matrix_csv(path, header: list[str], matrix: np.ndarray) -> None:

@@ -1,17 +1,17 @@
 """The lasso kernel: cyclic coordinate descent with exact active-set steps, in numpy.
 
-``cd_solve`` runs full coordinate-descent sweeps and certifies convergence
-exactly as plain coordinate descent does: a full sweep whose largest
-coefficient change is within ``tol``, then the KKT conditions within
-``kkt_tol``.  Between sweeps it takes an exact step toward the minimizer of
-the objective on the current sign pattern (Osborne, Presnell & Turlach
-2000): once on entry from a nonzero warm start, and after every full sweep
-that left ``sign(b)`` unchanged.  With s the signs of the active set A, the
-step solves ``G_AA d = X_A' r / n - lam * s_A`` by a Cholesky factorization
-of the Gram block, gathered from the precomputed ``G = X'X / n`` (the
-"covariance updates" of Friedman, Hastie & Tibshirani 2010).  On that face
-the objective is the convex quadratic the step minimizes, so moving toward
-its minimizer cannot raise the objective.
+``cd_solve`` has one certificate: the KKT conditions within ``kkt_tol``,
+checked for every column with one product ``XT @ r``.  Before each check it
+takes an exact step toward the minimizer of the objective on the current
+sign pattern (Osborne, Presnell & Turlach 2000): once on entry from a
+nonzero warm start, and after every full sweep that left ``sign(b)``
+unchanged.  With s the signs of the active set A, the step solves
+``G_AA d = X_A' r / n - lam * s_A`` by a Cholesky factorization of the Gram
+block, gathered from the precomputed ``G = X'X / n`` (the "covariance
+updates" of Friedman, Hastie & Tibshirani 2010).  On that face the
+objective is the convex quadratic the step minimizes, so moving toward its
+minimizer cannot raise the objective.  A lambda that fails the check gets
+one full coordinate-descent sweep, and the loop repeats.
 
 The guards:
 
@@ -25,8 +25,8 @@ The guards:
   objective's minimum on that line, or to the first coefficient it zeroes.
   Plain descent only creeps along such a direction, as on a near-copy pair.
 
-On a warm-started path most lambdas then need one or two sweeps instead of
-dozens.
+On a warm-started path the step from the previous solution certifies most
+lambdas with no sweep at all; the rest need one or two.
 
 ``selectors`` looks ``cd_solve`` up on this module at call time
 (``kernels.cd_solve``) and passes its arguments by position, so a wrapper
@@ -45,21 +45,8 @@ KERNEL = "python"
 # succeed on such a numerically singular Gram with a tiny positive pivot.
 RANK_TOL = 1e-10
 
-# Rounding floor of the convergence thresholds, in units of eps times the
-# data's scale: on a response of magnitude 1e10 rounding alone moves b and
-# X'r/n by more than an absolute tol of 1e-7.
-ROUNDING_ULPS = 1e3
 
-
-def _soft(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
-
-
-def cd_solve(XT, r, b, col_nrm2, lam, tol, kkt_tol, max_sweeps, gram):
+def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram):
     """Coordinate descent on (1/2n)||r||^2 + lam*||b||_1 with exact active-set steps.
 
     Parameters
@@ -69,55 +56,41 @@ def cd_solve(XT, r, b, col_nrm2, lam, tol, kkt_tol, max_sweeps, gram):
     b : (m,) warm-start coefficients; updated in place.
     col_nrm2 : (m,) column norms <x_j, x_j>/n; entries <= 0 mark inert
         columns that are skipped (their coefficient stays put).
-    lam, tol, kkt_tol : penalty, max-coefficient-change threshold, and the
-        slack allowed in the KKT certificate required to declare convergence.
-        The change threshold is floored at ``ROUNDING_ULPS * eps * max|b|``,
-        the rounding of b itself.
+    lam, kkt_tol : penalty, and the slack allowed in the KKT certificate.
     max_sweeps : hard cap on full sweeps.
     gram : (m, m) array XT @ XT.T / n, the Gram block source of the exact
         active-set step.
 
     Returns
     -------
-    (sweeps, converged) : sweeps actually run, and whether both the
-    coefficient-change and the KKT criteria were met after one full sweep.
+    (sweeps, converged) : full sweeps run (0 when the step from the warm
+    start is certified), and whether the KKT check passed.
     """
     m, n = XT.shape
     inv_n = 1.0 / n
     sweeps = 0
-    converged = False
     signs = np.sign(b)
-    if signs.any():
-        _exact_step(XT, r, b, signs, lam, inv_n, gram, _change_tol(b, tol))
-        signs = np.sign(b)
-    for _ in range(max_sweeps):
+    stable = signs.any()
+    while True:
+        if stable:
+            _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol)
+        if max(kkt_violations(XT @ r * inv_n, b, col_nrm2, lam)) <= kkt_tol:
+            return sweeps, True
+        if sweeps == max_sweeps:
+            return sweeps, False
         sweeps += 1
-        max_delta = 0.0
+        signs = np.sign(b)
         for j in range(m):
             vj = col_nrm2[j]
             if vj <= 0.0:
                 continue
-            g = np.dot(XT[j], r) * inv_n
-            b_new = _soft(g + vj * b[j], lam) / vj
+            z = np.dot(XT[j], r) * inv_n + vj * b[j]
+            b_new = (z - lam if z > lam else z + lam if z < -lam else 0.0) / vj
             d = b_new - b[j]
             if d != 0.0:
                 r -= d * XT[j]
                 b[j] = b_new
-            if abs(d) > max_delta:
-                max_delta = abs(d)
-        change_tol = _change_tol(b, tol)
-        if (max_delta <= change_tol
-                and max(kkt_violations(XT @ r * inv_n, b, col_nrm2, lam)) <= kkt_tol):
-            converged = True
-            break
-        if signs.any() and np.array_equal(np.sign(b), signs):
-            _exact_step(XT, r, b, signs, lam, inv_n, gram, change_tol)
-        signs = np.sign(b)
-    return sweeps, converged
-
-
-def _change_tol(b, tol):
-    return max(tol, ROUNDING_ULPS * np.finfo(float).eps * float(np.max(np.abs(b), initial=0.0)))
+        stable = signs.any() and np.array_equal(np.sign(b), signs)
 
 
 def cholesky(g, k=None):
@@ -152,7 +125,7 @@ def pivoted_cholesky(g):
     return piv, piv[:0]
 
 
-def _exact_step(XT, r, b, signs, lam, inv_n, gram, change_tol):
+def _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol):
     """Move b toward the minimizer on the face sign(b) == signs.
 
     When the active Gram block passes the rank test every active column is
@@ -183,10 +156,10 @@ def _exact_step(XT, r, b, signs, lam, inv_n, gram, change_tol):
     fit_line = line @ XT
     # On the line the objective is -slope * t + curv * t^2 / 2, both taken
     # from the data: the Gram's Schur complement G_kk - G_kF w is here mostly
-    # cancellation.
+    # cancellation.  With F solved, slope is column k's KKT residual.
     slope = fit_line @ r * inv_n - lam * (signs @ line)
     curv = fit_line @ fit_line * inv_n
-    if abs(slope) > change_tol * gram[k, k]:  # else a sweep leaves b_k put too
+    if abs(slope) > kkt_tol:
         _move(XT, r, b, np.sign(slope) * line, abs(slope) / curv if curv > 0.0 else np.inf, lam)
 
 

@@ -14,13 +14,13 @@ zeros are exact either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
-from .kernels import RANK_TOL, ROUNDING_ULPS
+from .kernels import RANK_TOL
 from .metrics import mse
 from .standardize import RAW, CoefficientVector
 from .terms import TermSet, main
@@ -28,6 +28,11 @@ from .terms import TermSet, main
 # Internal slack for the KKT convergence certificate; one order tighter
 # than the 1e-6 the contract tests assert.
 KKT_SLACK = 1e-7
+
+# Rounding floor of the KKT slack, in units of eps times the data's scale:
+# on a response of magnitude 1e10 rounding alone moves X'r/n by more than
+# an absolute KKT_SLACK.
+ROUNDING_ULPS = 1e3
 
 # Stepwise screen (see _SweepScreen): a move whose model may have a pivot
 # ratio at or below SCREEN_TOL is scored exactly; SCREEN_SLACK multiplies the
@@ -45,7 +50,6 @@ NULL_START = "null"
 class LassoOptions:
     n_lambda: int = 100
     lambda_min_ratio: float | None = None  # 1e-4 when n > #columns, else 1e-2
-    tol: float = 1e-7
     max_iter: int = 100_000
     internal_standardize: bool = True
 
@@ -54,8 +58,6 @@ class LassoOptions:
             raise ValueError("n_lambda must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.lambda_min_ratio is not None and not (0 < self.lambda_min_ratio < 1):
             raise ValueError("lambda_min_ratio must lie in (0, 1)")
 
@@ -63,13 +65,6 @@ class LassoOptions:
         if self.lambda_min_ratio is not None:
             return self.lambda_min_ratio
         return 1e-4 if n > n_columns else 1e-2
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LassoOptions":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown lasso options: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -83,13 +78,6 @@ class StepwiseOptions:
         if self.max_selected is not None and self.max_selected < 1:
             raise ValueError("max_selected must be at least 1")
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StepwiseOptions":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown stepwise options: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -97,7 +85,7 @@ class FitResult:
 
     coefs: CoefficientVector
     tuning: float  # chosen lambda (lasso) or final AIC (stepwise)
-    iterations: int  # CD sweeps or accepted stepwise moves
+    iterations: int  # full CD sweeps (0 when the exact step certified) or stepwise moves
     converged: bool
     aic_path: tuple[float, ...] = field(default=())  # stepwise audit trail
 
@@ -216,7 +204,7 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
     fits = []
     for lam in lambdas:
         sweeps, converged = kernels.cd_solve(
-            prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol, kkt_tol, opts.max_iter, gram
+            prep.XT, r, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, gram
         )
         fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, terms, scale_tag))
     return lambdas, fits

@@ -123,14 +123,6 @@ class SettingConfig:
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SettingConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
-
 
 def _table1(name, a, coef2, sig, printed):
     inters = a * (a - 1) // 2

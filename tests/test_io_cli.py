@@ -10,8 +10,9 @@ import pytest
 import hereditas
 from hereditas.cli import main, split_sizes
 from hereditas.errors import InvalidDimensionError
-from hereditas.io import atomic_write_text, read_table
-from hereditas.simulate import build_truth, preset
+from hereditas.io import atomic_write_text, from_json_fields, read_table
+from hereditas.selectors import LassoOptions, StepwiseOptions
+from hereditas.simulate import SettingConfig, build_truth, preset
 from hereditas.terms import canonical_terms
 
 
@@ -62,7 +63,7 @@ class TestReadTable:
         write_csv(path, ["a", "b"], [[1, 2], ["oops", 4]])
         with pytest.raises(InvalidDimensionError) as err:
             read_table(path)
-        assert "row 3" in str(err.value) and "'a'" in str(err.value)
+        assert "row 3, column 'a': non-numeric cell 'oops'" in str(err.value)
 
     def test_duplicate_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -73,8 +74,15 @@ class TestReadTable:
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"
         with open(path, "w") as fh:
-            fh.write("a,b\n1,2\n3\n")
-        with pytest.raises(InvalidDimensionError):
+            fh.write("a,b\n1,2\n\n3\n")
+        with pytest.raises(InvalidDimensionError, match="row 4 has 1 cells, expected 2"):
+            read_table(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [[1, 2], [3, 4], [5, cell]])
+        with pytest.raises(InvalidDimensionError, match="row 4, column 'b': non-finite value"):
             read_table(path)
 
 
@@ -405,6 +413,14 @@ class TestSelectorOptionFiles:
         assert rc == 2
         assert "unknown stepwise options: ['direction']" in capsys.readouterr().err
 
+    def test_tol_is_an_unknown_lasso_option(self, dataset_csv, tmp_path, capsys):
+        opts = tmp_path / "lasso.json"
+        opts.write_text(json.dumps({"tol": 1e-8}))
+        rc = main(["fit", str(dataset_csv), "--lasso-options", str(opts),
+                   "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "unknown lasso options: ['tol']" in capsys.readouterr().err
+
     def test_unknown_option_field_exit_2(self, dataset_csv, tmp_path, capsys):
         opts = tmp_path / "lasso.json"
         opts.write_text(json.dumps({"bogus": 1}))
@@ -414,6 +430,57 @@ class TestSelectorOptionFiles:
 
 
 SIM_ONE = ["simulate", "--preset", "setting1", "--seed", "7", "--replicates", "1"]
+
+
+class TestMalformedJson:
+    """A JSON document of the wrong shape, or with a value of the wrong type,
+    exits 2 with a message; it neither raises nor runs."""
+
+    @pytest.mark.parametrize("doc", [{}, [1, 2], {"config": {"name": "x"}},
+                                     {"config": {}, "cells": []}, {"config": "x", "cells": []}])
+    def test_report_without_name_or_cells(self, tmp_path, capsys, doc):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert "not a campaign report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "expected a JSON object of config fields, got list"),
+        ({"p": "ten"}, "config field 'p' must be int, got 'ten'"),
+        ({"p": 10.0}, "config field 'p' must be int, got 10.0"),
+        ({"replicates": True}, "config field 'replicates' must be int, got True"),
+        ({"reduced_truth": 1}, "config field 'reduced_truth' must be bool, got 1"),
+        ({"name": None}, "config field 'name' must be str, got None"),
+    ])
+    def test_simulate_config(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(path), "--replicates", "1",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,doc,message", [
+        ("--lasso-options", {"n_lambda": "5"}, "lasso option 'n_lambda' must be int, got '5'"),
+        ("--lasso-options", {"n_lambda": 5.5}, "lasso option 'n_lambda' must be int, got 5.5"),
+        ("--lasso-options", {"internal_standardize": 0}, "must be bool, got 0"),
+        ("--lasso-options", [], "expected a JSON object of lasso options, got list"),
+        ("--stepwise-options", {"max_selected": 2.5}, "must be int | None, got 2.5"),
+        ("--stepwise-options", {"start": 1}, "stepwise option 'start' must be str, got 1"),
+    ])
+    def test_option_file(self, tmp_path, capsys, flag, doc, message):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps(doc))
+        assert main(SIM_ONE + [flag, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_int_fills_a_float_field_and_null_an_optional_one(self):
+        cfg = from_json_fields(SettingConfig, {"sigma": 8, "printed_snr": None}, "config field")
+        assert cfg.sigma == 8 and cfg.printed_snr is None
+        opts = from_json_fields(LassoOptions, {"lambda_min_ratio": None, "n_lambda": 5}, "option")
+        assert opts.n_lambda == 5 and opts.lambda_min_ratio is None
+        opts = from_json_fields(StepwiseOptions, {"max_selected": None}, "option")
+        assert opts.max_selected is None
 
 
 class TestManifestHash:

@@ -88,7 +88,7 @@ class TestLassoFit:
         lam = 0.05
         objs = []
         for k in range(1, 9):
-            opts = LassoOptions(tol=1e-300, max_iter=k)
+            opts = LassoOptions(max_iter=k)
             objs.append(lasso_objective(x, y, lasso_fit(x, y, lam, opts), lam, opts))
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-12
@@ -96,9 +96,9 @@ class TestLassoFit:
     def test_non_convergence_flagged_not_raised(self):
         rng = np.random.default_rng(15)
         x, y = random_problem(rng)
-        fit = lasso_fit(x, y, 1e-6, LassoOptions(tol=1e-300, max_iter=2))
+        fit = lasso_fit(x, y, 1e-6, LassoOptions(max_iter=1))
         assert not fit.converged
-        assert fit.iterations == 2
+        assert fit.iterations == 1
 
     def test_max_iter_below_one_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
@@ -253,7 +253,7 @@ def reference_cd(XT, r, b, col_nrm2, lam, tol, kkt_tol, max_sweeps):
     converged = False
     for _ in range(max_sweeps):
         sweeps += 1
-        max_delta = 0.0
+        largest_change = 0.0
         for j in range(m):
             vj = col_nrm2[j]
             if vj <= 0.0:
@@ -265,9 +265,9 @@ def reference_cd(XT, r, b, col_nrm2, lam, tol, kkt_tol, max_sweeps):
             if d != 0.0:
                 r -= d * XT[j]
                 b[j] = b_new
-            if abs(d) > max_delta:
-                max_delta = abs(d)
-        if max_delta <= tol and _reference_kkt_ok(XT, r, b, col_nrm2, lam, kkt_tol, inv_n):
+            if abs(d) > largest_change:
+                largest_change = abs(d)
+        if largest_change <= tol and _reference_kkt_ok(XT, r, b, col_nrm2, lam, kkt_tol, inv_n):
             converged = True
             break
     return sweeps, converged
@@ -292,9 +292,10 @@ def reference_path(X, y, lambdas, opts):
     b = np.zeros(prep.XT.shape[0])
     r = prep.yc.copy()
     terms = _default_terms(len(b))
+    tol = 1e-7  # plain descent's coefficient-change threshold
     fits = []
     for lam in lambdas:
-        sweeps, converged = reference_cd(prep.XT, r, b, prep.col_nrm2, float(lam), opts.tol,
+        sweeps, converged = reference_cd(prep.XT, r, b, prep.col_nrm2, float(lam), tol,
                                          KKT_SLACK, opts.max_iter)
         fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, terms, RAW))
     return fits
@@ -374,7 +375,7 @@ class TestExactStepMatchesPlainDescent:
         opts = LassoOptions()
         _, fits = fit_lasso_path(X, y, opts)
         assert all(f.converged for f in fits)
-        assert sum(f.iterations for f in fits) <= 4 * opts.n_lambda
+        assert sum(f.iterations for f in fits) <= opts.n_lambda
 
 
 class TestKernelSeam:

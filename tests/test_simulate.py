@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hereditas.errors import InvalidConfigError
-from hereditas.io import dump_json
+from hereditas.io import dump_json, from_json_fields
 from hereditas.metrics import msh
 from hereditas.simulate import (
     DEFAULT_CELLS,
@@ -28,7 +28,8 @@ FAST = dict(n_train=120, n_valid=120, n_test=500, replicates=2)
 
 
 def fast_cfg(name="setting1", **kw):
-    return SettingConfig.from_json_dict({**preset(name).to_json_dict(), **FAST, **kw})
+    return from_json_fields(SettingConfig, {**preset(name).to_json_dict(), **FAST, **kw},
+                            "config field")
 
 
 class TestBuildTruth:
@@ -207,9 +208,10 @@ class TestPresets:
 
     def test_config_json_round_trip(self):
         cfg = preset("R8")
-        back = SettingConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+        back = from_json_fields(SettingConfig, json.loads(json.dumps(cfg.to_json_dict())),
+                                "config field")
         assert back == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidConfigError):
-            SettingConfig.from_json_dict({"nonsense": 1})
+            from_json_fields(SettingConfig, {"nonsense": 1}, "config field")
