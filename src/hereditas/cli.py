@@ -1,6 +1,7 @@
 """Command-line front end: simulate | fit | standardize | report.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config/data error.
+Exit codes: 0 success, 1 when standardization parameters do not match
+their terms (a bug), 2 for any other usage, config or data error.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateColumnError,
-    HereditasError,
-    InfeasibleStartError,
-    InvalidConfigError,
-    InvalidDimensionError,
-    SingularDesignError,
-    UnsupportedDistributionError,
-)
+from .errors import InconsistentParamsError, InvalidConfigError
 from .io import (
     RunManifest,
     atomic_write_text,
@@ -32,6 +25,7 @@ from .io import (
     file_sha256,
     from_json_fields,
     read_table,
+    to_json,
     write_coefficients_csv,
     write_matrix_csv,
 )
@@ -39,7 +33,6 @@ from .metrics import mse
 from .report import campaign_tsv, multi_report_tsv, snr_summary
 from .selectors import FULL_START, NULL_START, LassoOptions, StepwiseOptions
 from .simulate import (
-    DEFAULT_CELLS,
     HIERARCHICAL,
     LASSO,
     METHODS,
@@ -55,25 +48,20 @@ from .simulate import (
 from .standardize import MEAN_SD, MEDIAN_IQR, check_heredity
 from .terms import canonical_terms, expand
 
-_USAGE_ERRORS = (
-    InvalidConfigError,
-    InvalidDimensionError,
-    DegenerateColumnError,
-    UnsupportedDistributionError,
-    InfeasibleStartError,
-    SingularDesignError,
-)
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _add_selector_options(p: argparse.ArgumentParser) -> None:
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """The options of the commands that select models: simulate and fit."""
     p.add_argument("--lasso-options", default=None, metavar="JSON",
                    help="path to a JSON file of lasso solver options")
     p.add_argument("--stepwise-options", default=None, metavar="JSON",
                    help="path to a JSON file of stepwise options")
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    _add_out_dir(p)
+    _add_format(p)
 
 
 def _read_json(path):
@@ -94,8 +82,7 @@ def _load_selector_options(args):
             {"lasso_options": lasso, "stepwise_options": stepwise})
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+def _add_out_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for output files")
 
 
@@ -122,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--schemes", default=",".join(SCHEMES),
                      help="comma list among hierarchical,regular")
     sim.add_argument("--threads", type=int, default=1, help="replicate worker processes")
-    _add_selector_options(sim)
-    _add_common(sim)
-    _add_format(sim)
+    _add_run_options(sim)
 
     fit = sub.add_parser("fit", help="fit a selector to a CSV dataset")
     fit.add_argument("data", help="CSV file with a header row")
@@ -135,9 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--split", default="3:1:1", help="train:valid:test ratio")
     fit.add_argument("--start", choices=("auto", FULL_START, NULL_START), default="auto",
                      help="stepwise starting model (auto: full when feasible)")
-    _add_selector_options(fit)
-    _add_common(fit)
-    _add_format(fit)
+    _add_run_options(fit)
 
     std = sub.add_parser("standardize", help="write the standardized expanded design")
     std.add_argument("data", help="CSV file with a header row")
@@ -145,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     std.add_argument("--estimator", choices=(MEAN_SD, MEDIAN_IQR), default=MEAN_SD)
     std.add_argument("--response", default=None,
                      help="drop this column before treating the rest as main effects")
-    _add_common(std)
+    _add_out_dir(std)
 
     rep = sub.add_parser("report", help="render saved campaign JSON reports")
     rep.add_argument("report_json", nargs="+",
@@ -155,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(out_dir: str, command: str, cfg_dict: dict, seed: int,
+def _write_manifest(out_dir: str, command: str, cfg_dict: dict, seed: int | None,
                     started: str, outputs: list[str], stem: str) -> str:
     manifest = RunManifest(
         command=command,
@@ -167,21 +150,20 @@ def _write_manifest(out_dir: str, command: str, cfg_dict: dict, seed: int,
         outputs=tuple(outputs),
     )
     path = os.path.join(out_dir, f"{stem}.manifest.json")
-    atomic_write_text(path, dump_json(manifest.to_json_dict()))
+    atomic_write_text(path, dump_json(to_json(manifest)))
     return path
 
 
-def _parse_cells(methods: str, schemes: str):
-    ms = [m.strip() for m in methods.split(",") if m.strip()]
-    ss = [s.strip() for s in schemes.split(",") if s.strip()]
-    for m in ms:
-        if m not in METHODS:
-            raise InvalidConfigError(f"unknown method {m!r}")
-    for s in ss:
-        if s not in SCHEMES:
-            raise InvalidConfigError(f"unknown scheme {s!r}")
-    cells = tuple((m, s) for m in ms for s in ss)
-    return cells if cells else DEFAULT_CELLS
+def _parse_list(text: str, valid: tuple[str, ...], what: str) -> list[str]:
+    """The distinct values a comma list names, each one of valid."""
+    values = [v.strip() for v in text.split(",") if v.strip()]
+    for v in values:
+        if v not in valid:
+            raise InvalidConfigError(f"unknown {what} {v!r}")
+    if not values or len(set(values)) < len(values):
+        raise InvalidConfigError(f"--{what}s must name distinct {what}s among "
+                                 f"{','.join(valid)}, got {text!r}")
+    return values
 
 
 def cmd_simulate(args) -> int:
@@ -194,7 +176,8 @@ def cmd_simulate(args) -> int:
         cfg = from_json_fields(SettingConfig, _read_json(args.config), "config field")
     replicates = cfg.replicates if args.replicates is None else args.replicates
     cfg = replace(cfg, master_seed=args.seed, replicates=replicates)
-    cells = _parse_cells(args.methods, args.schemes)
+    cells = tuple((m, s) for m in _parse_list(args.methods, METHODS, "method")
+                  for s in _parse_list(args.schemes, SCHEMES, "scheme"))
     lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
 
     report = run_campaign(cfg, cells=cells, threads=args.threads,
@@ -204,9 +187,9 @@ def cmd_simulate(args) -> int:
     stem = cfg.name
     json_path = os.path.join(args.out_dir, f"{stem}.report.json")
     tsv_path = os.path.join(args.out_dir, f"{stem}.report.tsv")
-    atomic_write_text(json_path, dump_json(report.to_json_dict()))
+    atomic_write_text(json_path, dump_json(to_json(report)))
     atomic_write_text(tsv_path, campaign_tsv(report))
-    run_config = {"config": cfg.to_json_dict(), "cells": cells, **option_docs}
+    run_config = {"config": to_json(cfg), "cells": cells, **option_docs}
     _write_manifest(args.out_dir, " ".join(sys.argv), run_config, cfg.master_seed,
                     started, [json_path, tsv_path], stem)
 
@@ -214,7 +197,7 @@ def cmd_simulate(args) -> int:
     if args.format == "tsv":
         sys.stdout.write(campaign_tsv(report))
     else:
-        sys.stdout.write(dump_json(report.to_json_dict()))
+        sys.stdout.write(dump_json(to_json(report)))
     return 0
 
 
@@ -286,7 +269,7 @@ def cmd_fit(args) -> int:
                           args.estimator, lasso_opts, stepwise_opts)
     raw, fit, tuned = fitted.raw_coefs, fitted.fit, fitted.tuned
     if tuned is not None:
-        tuning = {"lambda": tuned.best_lambda, "path": tuned.to_json_dict()}
+        tuning = {"lambda": tuned.best_lambda, "path": to_json(tuned)}
     else:
         tuning = {"aic": fit.tuning, "steps": fit.iterations, "start": start}
     test_design = expand(x_te, terms)
@@ -308,7 +291,7 @@ def cmd_fit(args) -> int:
         "n_selected": len(raw.selected()),
         "split_sizes": {"train": n_tr, "valid": n_va, "test": n_te},
         "tuning": tuning,
-        "standardization": fitted.params.to_json_dict(),
+        "standardization": to_json(fitted.params),
     }
     json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
     atomic_write_text(json_path, dump_json(summary))
@@ -344,11 +327,11 @@ def cmd_standardize(args) -> int:
     matrix_path = os.path.join(args.out_dir, f"{stem}.standardized.csv")
     params_path = os.path.join(args.out_dir, f"{stem}.params.json")
     write_matrix_csv(matrix_path, terms.labels(), z)
-    atomic_write_text(params_path, dump_json(params.to_json_dict()))
+    atomic_write_text(params_path, dump_json(to_json(params)))
     _write_manifest(args.out_dir, " ".join(sys.argv),
                     {"data": file_sha256(args.data), "scheme": args.scheme,
                      "estimator": args.estimator,
-                     "response": args.response}, args.seed, started,
+                     "response": args.response}, None, started,
                     [matrix_path, params_path], stem)
     print(f"wrote {matrix_path} and {params_path}")
     return 0
@@ -385,15 +368,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
+    except (ValueError, OSError) as exc:  # package errors, malformed JSON, missing paths
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HereditasError as exc:  # remaining package errors are runtime failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # bad option files, malformed JSON, missing paths
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InconsistentParamsError) else 2
 
 
 if __name__ == "__main__":

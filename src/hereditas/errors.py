@@ -1,15 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; every one is a ValueError."""
 
 
-class HereditasError(Exception):
+class HereditasError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class InvalidDimensionError(HereditasError, ValueError):
+class InvalidDimensionError(HereditasError):
     """Inputs have missing, empty, or mismatched dimensions."""
 
 
-class DegenerateColumnError(HereditasError, ValueError):
+class DegenerateColumnError(HereditasError):
     """A design column has zero spread under the requested estimator."""
 
     def __init__(self, column_label, message=None):
@@ -17,21 +17,21 @@ class DegenerateColumnError(HereditasError, ValueError):
         super().__init__(message or f"column {column_label} has zero spread")
 
 
-class InconsistentParamsError(HereditasError, ValueError):
+class InconsistentParamsError(HereditasError):
     """Standardization parameters do not cover the requested terms."""
 
 
-class SingularDesignError(HereditasError, ValueError):
+class SingularDesignError(HereditasError):
     """Least-squares design is rank deficient."""
 
 
-class InfeasibleStartError(HereditasError, ValueError):
+class InfeasibleStartError(HereditasError):
     """Stepwise cannot start from the full model with this few rows."""
 
 
-class InvalidConfigError(HereditasError, ValueError):
+class InvalidConfigError(HereditasError):
     """A simulation setting is internally inconsistent."""
 
 
-class UnsupportedDistributionError(HereditasError, ValueError):
+class UnsupportedDistributionError(HereditasError):
     """No analytic formula or Monte Carlo route for this distribution."""

@@ -8,7 +8,7 @@ import io as _io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -35,6 +35,25 @@ def atomic_write_text(path, text: str) -> None:
 def dump_json(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def to_json(obj):
+    """obj as a JSON value, the mirror of from_json_fields.  An object that
+    defines ``to_json_dict`` is encoded by that method (its layout is not its
+    fields); a dataclass becomes an object of its fields; dicts are encoded
+    value by value, tuples and lists become lists, and numpy arrays their
+    ``tolist()``.  Anything else is returned as it is."""
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: to_json(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [to_json(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
 
 
 # The field annotations each JSON value type may fill: an int also fills a
@@ -161,19 +180,8 @@ class RunManifest:
 
     command: str
     config_hash: str
-    master_seed: int
+    master_seed: int | None  # None for standardize, which draws nothing
     tool_version: str
     started: str
     finished: str
     outputs: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": list(self.outputs),
-        }

@@ -24,6 +24,9 @@ DISTRIBUTIONS = (STANDARD_NORMAL, LOGNORMAL01)
 
 TERM_CLASSES = (MAIN, INTER, QUAD)
 
+# Draws behind every Monte Carlo SNR (the lognormal presets' route).
+MC_DRAWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TruthSpec:
@@ -149,30 +152,26 @@ def draw_mains(rng, n: int, p: int, distribution: str) -> np.ndarray:
     )
 
 
-def snr_monte_carlo(truth: TruthSpec, distribution: str, mc_draws: int = 1_000_000,
-                    seed: int = 0) -> SnrEstimate:
-    """Estimate Var(signal)/sigma^2 by simulation, with the standard error
-    of the variance estimate propagated through."""
-    if mc_draws < 1_000_000:
-        raise ValueError("Monte Carlo SNR needs at least 1e6 draws")
+def snr_monte_carlo(truth: TruthSpec, distribution: str, seed: int = 0) -> SnrEstimate:
+    """Estimate Var(signal)/sigma^2 from MC_DRAWS simulated draws, with the
+    standard error of the variance estimate propagated through."""
     rng = np.random.default_rng(seed)
-    signal = np.empty(mc_draws)
+    signal = np.empty(MC_DRAWS)
     chunk = 100_000
-    for start in range(0, mc_draws, chunk):
-        stop = min(start + chunk, mc_draws)
+    for start in range(0, MC_DRAWS, chunk):
+        stop = min(start + chunk, MC_DRAWS)
         signal[start:stop] = truth.signal(
             draw_mains(rng, stop - start, truth.terms.p, distribution)
         )
     var = float(np.var(signal, ddof=1))
     centered = signal - signal.mean()
     m4 = float(np.mean(centered**4))
-    se_var = math.sqrt(max(m4 - var * var, 0.0) / mc_draws)
+    se_var = math.sqrt(max(m4 - var * var, 0.0) / MC_DRAWS)
     s2 = truth.sigma**2
     return SnrEstimate(var / s2, se_var / s2, "monte-carlo")
 
 
-def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL, mc_draws: int = 1_000_000,
-        seed: int = 0) -> SnrEstimate:
+def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL, seed: int = 0) -> SnrEstimate:
     """Signal-to-noise ratio Var(signal)/sigma^2 for i.i.d. main effects.
 
     Standard-normal mains admit a closed form: squares contribute twice
@@ -186,7 +185,7 @@ def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL, mc_draws: int = 1
             var += 2.0 * v * v if t.kind == QUAD else v * v
         return SnrEstimate(var / truth.sigma**2, None, "analytic")
     if distribution == LOGNORMAL01:
-        return snr_monte_carlo(truth, distribution, mc_draws, seed)
+        return snr_monte_carlo(truth, distribution, seed)
     raise UnsupportedDistributionError(
         f"no SNR route for {distribution!r}; supported: {DISTRIBUTIONS}"
     )
@@ -200,9 +199,6 @@ class AggregateStat:
     median: float
     se: float
     n: int
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "median": self.median, "se": self.se, "n": self.n}
 
 
 def aggregate(values: Iterable[float | None]) -> AggregateStat | None:
@@ -225,17 +221,6 @@ class ReplicateMetrics:
     specificity_by_class: dict[str, float | None]
     mse: float
     n_selected: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "msh": self.msh,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "sensitivity_by_class": dict(self.sensitivity_by_class),
-            "specificity_by_class": dict(self.specificity_by_class),
-            "mse": self.mse,
-            "n_selected": self.n_selected,
-        }
 
 
 def score_selection(selected: frozenset[TermId], truth: TruthSpec,

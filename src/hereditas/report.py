@@ -6,14 +6,10 @@ report keeps full precision.
 
 from __future__ import annotations
 
-from .simulate import AGGREGATED_METRICS, CampaignReport
+from .io import to_json
+from .simulate import REPORT_METRICS, CampaignReport
 
 _STATS = ("mean", "median", "se")
-
-_CLASS_METRICS = tuple(
-    f"{base}_{kind}" for base in ("sensitivity", "specificity")
-    for kind in ("main", "inter", "quad")
-)
 
 
 def _fmt(v) -> str:
@@ -22,7 +18,7 @@ def _fmt(v) -> str:
 
 def campaign_tsv(report: CampaignReport) -> str:
     """Cells as columns; metric-by-stat rows."""
-    return multi_report_tsv([report.to_json_dict()])
+    return multi_report_tsv([to_json(report)])
 
 
 def multi_report_tsv(docs: list[dict]) -> str:
@@ -39,8 +35,7 @@ def multi_report_tsv(docs: list[dict]) -> str:
             label = f"{setting}:{name}" if len(docs) > 1 else name
             columns.append((label, cell["aggregates"]))
     lines = ["\t".join(["metric", "stat"] + [label for label, _ in columns])]
-    metric_names = list(AGGREGATED_METRICS) + list(_CLASS_METRICS)
-    for metric in metric_names:
+    for metric in REPORT_METRICS:
         for stat in _STATS:
             row = [metric, stat]
             for _, aggs in columns:

@@ -9,15 +9,17 @@ every method cell consumes the identical datasets.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfigError, UnsupportedDistributionError
+from .io import to_json
 from .metrics import (
     LOGNORMAL01,
     STANDARD_NORMAL,
+    TERM_CLASSES,
     AggregateStat,
     ReplicateMetrics,
     SnrEstimate,
@@ -120,9 +122,6 @@ class SettingConfig:
         if self.estimator not in (MEAN_SD, MEDIAN_IQR):
             raise InvalidConfigError(f"unknown estimator {self.estimator!r}")
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _table1(name, a, coef2, sig, printed):
     inters = a * (a - 1) // 2
@@ -214,20 +213,20 @@ class ReplicateData:
     test: Split
     truth: TruthSpec
     replicate: int
-    seed_entropy: tuple[int, int]  # (master_seed, replicate): the stream identity
+    test_design: np.ndarray  # the test split's expanded design, which every cell scores on
 
 
 def generate_replicate(cfg: SettingConfig, rep_index: int) -> ReplicateData:
     """Deterministic function of (master_seed, rep_index); splits drawn in order."""
     truth = build_truth(cfg)
-    entropy = (cfg.master_seed, rep_index)
-    rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
+    coefs = truth.coefficient_array()
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep_index]))
     splits = []
     for n in (cfg.n_train, cfg.n_valid, cfg.n_test):
         x = draw_mains(rng, n, cfg.p, cfg.x_distribution)
-        y = truth.signal(x) + rng.normal(0.0, cfg.sigma, size=n)
-        splits.append(Split(RawDesign(x), y))
-    return ReplicateData(splits[0], splits[1], splits[2], truth, rep_index, entropy)
+        design = expand(x, truth.terms)
+        splits.append(Split(RawDesign(x), design @ coefs + rng.normal(0.0, cfg.sigma, size=n)))
+    return ReplicateData(*splits, truth, rep_index, test_design=design)  # the test split is last
 
 
 @dataclass(frozen=True)
@@ -307,13 +306,9 @@ def run_pipeline(data: ReplicateData, method: str, scheme: str,
                           lasso_opts, stepwise_opts)
     raw = fitted.raw_coefs
     selected = raw.selected()
-    test_mse = mse(raw.predict(expand(data.test.design, terms)), data.test.y)
+    test_mse = mse(raw.predict(data.test_design), data.test.y)
     return PipelineOutcome(method, scheme, raw, selected, fitted.fit,
                            score_selection(selected, data.truth, test_mse))
-
-
-def _cell_name(method: str, scheme: str) -> str:
-    return f"{method}/{scheme}"
 
 
 @dataclass(frozen=True)
@@ -323,32 +318,21 @@ class CellReport:
     per_replicate: tuple[ReplicateMetrics, ...]
     aggregates: dict[str, AggregateStat | None]
 
-    @property
-    def name(self) -> str:
-        return _cell_name(self.method, self.scheme)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "scheme": self.scheme,
-            "aggregates": {
-                k: (v.to_json_dict() if v is not None else None)
-                for k, v in self.aggregates.items()
-            },
-            "per_replicate": [r.to_json_dict() for r in self.per_replicate],
-        }
+# The aggregated metrics in the report table's row order: a ReplicateMetrics
+# field, or "<field>_<term class>" for an entry of its "<field>_by_class".
+REPORT_METRICS = ("msh", "sensitivity", "specificity", "mse") + tuple(
+    f"{base}_{kind}" for base in ("sensitivity", "specificity") for kind in TERM_CLASSES
+)
 
 
-AGGREGATED_METRICS = ("msh", "sensitivity", "specificity", "mse")
+def _metric(row: ReplicateMetrics, name: str) -> float | None:
+    base, _, kind = name.partition("_")
+    return getattr(row, f"{base}_by_class")[kind] if kind else getattr(row, name)
 
 
 def _aggregate_cell(method: str, scheme: str, rows: list[ReplicateMetrics]) -> CellReport:
-    aggs: dict[str, AggregateStat | None] = {}
-    for name in AGGREGATED_METRICS:
-        aggs[name] = aggregate(getattr(r, name) for r in rows)
-    for kind in ("main", "inter", "quad"):
-        aggs[f"sensitivity_{kind}"] = aggregate(r.sensitivity_by_class[kind] for r in rows)
-        aggs[f"specificity_{kind}"] = aggregate(r.specificity_by_class[kind] for r in rows)
+    aggs = {name: aggregate(_metric(r, name) for r in rows) for name in REPORT_METRICS}
     return CellReport(method, scheme, tuple(rows), aggs)
 
 
@@ -363,24 +347,20 @@ class CampaignReport:
         for c in self.cells:
             if c.method == method and c.scheme == scheme:
                 return c
-        raise KeyError(_cell_name(method, scheme))
+        raise KeyError((method, scheme))
 
     def to_json_dict(self) -> dict:
+        """The fields, with the tabulated SNR and the flag inside the "snr" object."""
         return {
-            "config": self.config.to_json_dict(),
-            "snr": {
-                "value": self.snr.value,
-                "se": self.snr.se,
-                "method": self.snr.method,
-                "printed": self.config.printed_snr,
-                "flagged": self.snr_flagged,
-            },
-            "cells": [c.to_json_dict() for c in self.cells],
+            "config": to_json(self.config),
+            "snr": {**to_json(self.snr), "printed": self.config.printed_snr,
+                    "flagged": self.snr_flagged},
+            "cells": to_json(self.cells),
         }
 
 
-def campaign_snr(cfg: SettingConfig, mc_draws: int = 1_000_000) -> tuple[SnrEstimate, bool]:
-    est = snr(build_truth(cfg), cfg.x_distribution, mc_draws=mc_draws, seed=cfg.master_seed)
+def campaign_snr(cfg: SettingConfig) -> tuple[SnrEstimate, bool]:
+    est = snr(build_truth(cfg), cfg.x_distribution, seed=cfg.master_seed)
     flagged = (
         cfg.printed_snr is not None
         and est.method == "analytic"
@@ -400,8 +380,7 @@ def _replicate_worker(task) -> list[ReplicateMetrics]:
 
 def run_campaign(cfg: SettingConfig, cells=DEFAULT_CELLS, threads: int = 1,
                  lasso_opts: LassoOptions | None = None,
-                 stepwise_opts: StepwiseOptions | None = None,
-                 snr_mc_draws: int = 1_000_000) -> CampaignReport:
+                 stepwise_opts: StepwiseOptions | None = None) -> CampaignReport:
     """Run every method-by-scheme cell on identical replicate data and aggregate.
 
     Replicates are independent work units, farmed out to worker processes
@@ -420,5 +399,5 @@ def run_campaign(cfg: SettingConfig, cells=DEFAULT_CELLS, threads: int = 1,
     for i, (method, scheme) in enumerate(cells):
         rows = [per_rep[rep][i] for rep in range(cfg.replicates)]
         reports.append(_aggregate_cell(method, scheme, rows))
-    est, flagged = campaign_snr(cfg, mc_draws=snr_mc_draws)
+    est, flagged = campaign_snr(cfg)
     return CampaignReport(cfg, tuple(reports), est, flagged)

@@ -78,14 +78,6 @@ class LocationScale:
     def effective_centers(self) -> np.ndarray:
         return self.centers - self.delta_applied
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "centers": self.centers.tolist(),
-            "scales": self.scales.tolist(),
-            "delta_applied": self.delta_applied.tolist(),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "LocationScale":
         return cls(
@@ -198,11 +190,11 @@ def _column_location_scale(col: np.ndarray, estimator: str) -> tuple[float, floa
     return center, scale
 
 
-def fit_location_scale(raw, estimator: str = MEAN_SD, delta: float = DEFAULT_DELTA) -> LocationScale:
+def fit_location_scale(raw, estimator: str = MEAN_SD) -> LocationScale:
     """Estimate per-main-effect centers and scales on the training mains.
 
-    ``delta`` is the shift recorded for columns whose center is numerically
-    zero, expressed as a fraction of the column scale.
+    A column whose center is numerically zero records a shift of
+    DEFAULT_DELTA times its scale.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
@@ -220,7 +212,7 @@ def fit_location_scale(raw, estimator: str = MEAN_SD, delta: float = DEFAULT_DEL
         centers[j] = center
         scales[j] = scale
         if abs(center) < ZERO_CENTER_TOL:
-            shifts[j] = delta * scale
+            shifts[j] = DEFAULT_DELTA * scale
     return LocationScale(estimator, centers, scales, shifts)
 
 

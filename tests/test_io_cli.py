@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import hereditas
 from hereditas.cli import main, split_sizes
 from hereditas.errors import InvalidDimensionError
-from hereditas.io import atomic_write_text, from_json_fields, read_table
+from hereditas.io import atomic_write_text, from_json_fields, read_table, to_json
 from hereditas.selectors import LassoOptions, StepwiseOptions
 from hereditas.simulate import SettingConfig, build_truth, preset
 from hereditas.terms import canonical_terms
@@ -86,6 +87,45 @@ class TestReadTable:
             read_table(path)
 
 
+@dataclass(frozen=True)
+class _Inner:
+    label: str
+    weight: float
+
+
+@dataclass(frozen=True)
+class _Outer:
+    values: np.ndarray
+    pair: tuple
+    inner: _Inner
+    missing: object
+    by_name: dict
+
+
+class TestToJson:
+    def test_dataclass_encodes_as_its_fields(self):
+        obj = _Outer(np.array([1.5, -2.0]), (1, "a"), _Inner("x", 0.5), None,
+                     {"k": _Inner("y", 1.0), "t": (2, 3)})
+        assert to_json(obj) == {
+            "values": [1.5, -2.0],
+            "pair": [1, "a"],
+            "inner": {"label": "x", "weight": 0.5},
+            "missing": None,
+            "by_name": {"k": {"label": "y", "weight": 1.0}, "t": [2, 3]},
+        }
+        assert json.loads(json.dumps(to_json(obj))) == to_json(obj)
+
+    def test_own_method_wins_over_the_fields(self):
+        @dataclass(frozen=True)
+        class Own:
+            x: int
+
+            def to_json_dict(self):
+                return {"y": self.x + 1}
+
+        assert to_json((Own(1), {"o": Own(2)})) == [{"y": 2}, {"o": {"y": 3}}]
+
+
 class TestAtomicWrite:
     def test_no_tmp_left_behind(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -131,7 +171,7 @@ class TestSimulateCommand:
         assert "setting1" in capsys.readouterr().err
 
     def test_config_file(self, tmp_path):
-        cfg = preset("setting1").to_json_dict()
+        cfg = to_json(preset("setting1"))
         cfg.update(replicates=1, n_train=80, n_valid=80, n_test=100, name="mini")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -143,6 +183,30 @@ class TestSimulateCommand:
     def test_bad_method_exit_2(self, capsys):
         rc = main(["simulate", "--preset", "setting1", "--methods", "ridge"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--schemes", "", "--schemes must name distinct schemes among hierarchical,regular, "
+                          "got ''"),
+        ("--methods", " , ", "--methods must name distinct methods among lasso,stepwise, "
+                             "got ' , '"),
+        ("--methods", "lasso,lasso", "got 'lasso,lasso'"),
+        ("--schemes", "regular,hierarchical,regular", "got 'regular,hierarchical,regular'"),
+    ])
+    def test_cell_list_naming_nothing_or_a_value_twice_exit_2(self, tmp_path, capsys, flag,
+                                                              value, message):
+        rc = main(["simulate", "--preset", "setting1", "--replicates", "1", flag, value,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_matches_golden_file(self, tmp_path):
+        # Written by an earlier commit; a refactor must reproduce it byte for byte.
+        golden = os.path.join(os.path.dirname(__file__), "data", "setting1_seed7_r3.report.tsv")
+        assert main(["simulate", "--preset", "setting1", "--seed", "7", "--replicates", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(golden, "rb") as fh:
+            assert (tmp_path / "setting1.report.tsv").read_bytes() == fh.read()
 
     def test_threads_below_one_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--preset", "setting1", "--replicates", "1", "--threads", "0",
@@ -336,6 +400,17 @@ class TestStandardizeCommand:
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
+    def test_seed_flag_rejected(self, tmp_path):
+        # standardize draws nothing, so it takes no seed; its manifest records none.
+        path = tmp_path / "m.csv"
+        write_csv(path, ["a", "b"], [[1, 2], [2, 0], [4, 1]])
+        with pytest.raises(SystemExit) as exc:
+            main(["standardize", str(path), "--seed", "1", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert main(["standardize", str(path), "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "m.hierarchical.manifest.json").read_text())
+        assert manifest["master_seed"] is None
+
     def test_degenerate_column_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         write_csv(path, ["a", "b"], [[1, 1], [2, 1], [3, 1]])
@@ -370,7 +445,7 @@ class TestReportCommand:
 
     def test_settings_as_columns_for_multiple_reports(self, tmp_path, capsys):
         for name in ("setting1", "setting4"):
-            cfg = preset(name).to_json_dict()
+            cfg = to_json(preset(name))
             cfg.update(replicates=2, n_train=100, n_valid=100, n_test=200)
             cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(json.dumps(cfg))

@@ -138,12 +138,12 @@ class TestSnr:
     def test_analytic_matches_monte_carlo(self, name):
         truth = build_truth(preset(name))
         exact = snr(truth)
-        mc = snr_monte_carlo(truth, STANDARD_NORMAL, mc_draws=1_000_000, seed=5)
+        mc = snr_monte_carlo(truth, STANDARD_NORMAL, seed=5)
         assert abs(mc.value - exact.value) <= 3 * mc.se
 
     def test_lognormal_uses_monte_carlo(self):
         truth = build_truth(preset("R1"))
-        est = snr(truth, LOGNORMAL01, mc_draws=1_000_000, seed=2)
+        est = snr(truth, LOGNORMAL01, seed=2)
         assert est.method == "monte-carlo"
         assert est.se is not None and est.se > 0
         assert est.value > 0
@@ -151,10 +151,6 @@ class TestSnr:
     def test_unsupported_distribution(self):
         with pytest.raises(UnsupportedDistributionError):
             snr(truth_setting1(), "cauchy")
-
-    def test_mc_draw_floor(self):
-        with pytest.raises(ValueError):
-            snr_monte_carlo(truth_setting1(), STANDARD_NORMAL, mc_draws=1000)
 
 
 class TestAggregate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hereditas.errors import InvalidConfigError
-from hereditas.io import dump_json, from_json_fields
+from hereditas.io import dump_json, from_json_fields, to_json
 from hereditas.metrics import msh
 from hereditas.simulate import (
     DEFAULT_CELLS,
@@ -28,7 +28,7 @@ FAST = dict(n_train=120, n_valid=120, n_test=500, replicates=2)
 
 
 def fast_cfg(name="setting1", **kw):
-    return from_json_fields(SettingConfig, {**preset(name).to_json_dict(), **FAST, **kw},
+    return from_json_fields(SettingConfig, {**to_json(preset(name)), **FAST, **kw},
                             "config field")
 
 
@@ -174,7 +174,7 @@ class TestRunCampaign:
         cfg = fast_cfg(replicates=4)
         a = run_campaign(cfg, threads=1)
         b = run_campaign(cfg, threads=4)
-        assert dump_json(a.to_json_dict()) == dump_json(b.to_json_dict())
+        assert dump_json(to_json(a)) == dump_json(to_json(b))
 
     def test_snr_cross_check_not_flagged_for_table_presets(self):
         cfg = fast_cfg()
@@ -208,7 +208,7 @@ class TestPresets:
 
     def test_config_json_round_trip(self):
         cfg = preset("R8")
-        back = from_json_fields(SettingConfig, json.loads(json.dumps(cfg.to_json_dict())),
+        back = from_json_fields(SettingConfig, json.loads(json.dumps(to_json(cfg))),
                                 "config field")
         assert back == cfg
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hereditas.errors import DegenerateColumnError, InconsistentParamsError
+from hereditas.io import to_json
 from hereditas.standardize import (
     HIER_STD,
     MEAN_SD,
@@ -67,7 +68,7 @@ class TestFitLocationScale:
     def test_json_round_trip(self):
         rng = np.random.default_rng(3)
         ls = fit_location_scale(rng.standard_normal((30, 4)) + 1.0)
-        back = LocationScale.from_json_dict(json.loads(json.dumps(ls.to_json_dict())))
+        back = LocationScale.from_json_dict(json.loads(json.dumps(to_json(ls))))
         np.testing.assert_array_equal(back.centers, ls.centers)
         np.testing.assert_array_equal(back.scales, ls.scales)
 
