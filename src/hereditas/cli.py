@@ -29,16 +29,15 @@ from .io import (
     write_coefficients_csv,
     write_matrix_csv,
 )
-from .metrics import mse
+from .metrics import AggregateStat, mse
 from .report import campaign_tsv, multi_report_tsv, snr_summary
-from .selectors import FULL_START, NULL_START, LassoOptions, StepwiseOptions
+from .selectors import LassoOptions, StepwiseOptions
 from .simulate import (
     HIERARCHICAL,
     LASSO,
     METHODS,
     PRESETS,
     SCHEMES,
-    STEPWISE,
     SettingConfig,
     fit_pipeline,
     preset,
@@ -118,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scheme", choices=SCHEMES, default=HIERARCHICAL)
     fit.add_argument("--estimator", choices=(MEAN_SD, MEDIAN_IQR), default=MEAN_SD)
     fit.add_argument("--split", default="3:1:1", help="train:valid:test ratio")
-    fit.add_argument("--start", choices=("auto", FULL_START, NULL_START), default="auto",
-                     help="stepwise starting model (auto: full when feasible)")
     _add_run_options(fit)
 
     std = sub.add_parser("standardize", help="write the standardized expanded design")
@@ -254,24 +251,13 @@ def cmd_fit(args) -> int:
     x_te, y_te = x_all[idx_te], y_all[idx_te]
 
     lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
-    start = None
-    if args.method == STEPWISE:
-        # An explicit --start wins, then the options file, then the auto rule.
-        if args.start != "auto":
-            start = args.start
-        elif "start" in (option_docs["stepwise_options"] or {}):
-            start = stepwise_opts.start
-        else:
-            start = FULL_START if n_tr > len(terms) + 1 else NULL_START
-        stepwise_opts = replace(stepwise_opts or StepwiseOptions(), start=start)
-
     fitted = fit_pipeline((x_tr, y_tr), (x_va, y_va), terms, args.method, args.scheme,
                           args.estimator, lasso_opts, stepwise_opts)
     raw, fit, tuned = fitted.raw_coefs, fitted.fit, fitted.tuned
     if tuned is not None:
         tuning = {"lambda": tuned.best_lambda, "path": to_json(tuned)}
     else:
-        tuning = {"aic": fit.tuning, "steps": fit.iterations, "start": start}
+        tuning = {"aic": fit.tuning, "steps": fit.iterations, "start": fit.start}
     test_design = expand(x_te, terms)
 
     ok, violators = check_heredity(raw)
@@ -298,7 +284,7 @@ def cmd_fit(args) -> int:
     run_config = {
         "data": file_sha256(args.data), "split": args.split, "response": args.response,
         "method": args.method, "scheme": args.scheme, "estimator": args.estimator,
-        "start": start, **option_docs,
+        **option_docs,
     }
     _write_manifest(args.out_dir, " ".join(sys.argv), run_config,
                     args.seed, started, [coef_path, json_path], stem)
@@ -343,6 +329,17 @@ def _read_report(path) -> dict:
     if not (isinstance(doc, dict) and isinstance(doc.get("config"), dict)
             and "name" in doc["config"] and isinstance(doc.get("cells"), list)):
         raise InvalidConfigError(f"{path}: not a campaign report (no config.name or no cells)")
+    try:
+        for cell in doc["cells"]:
+            if not (isinstance(cell, dict) and isinstance(cell.get("method"), str) and
+                    isinstance(cell.get("scheme"), str) and isinstance(cell.get("aggregates"), dict)):
+                raise InvalidConfigError("a cell is not an object with a string method and "
+                                         "scheme and an aggregates object")
+            for agg in cell["aggregates"].values():
+                if agg is not None:
+                    from_json_fields(AggregateStat, agg, "aggregate field")
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from None
     return doc
 
 

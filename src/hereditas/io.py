@@ -8,7 +8,7 @@ import io as _io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -57,25 +57,31 @@ def to_json(obj):
 
 
 # The field annotations each JSON value type may fill: an int also fills a
-# float field, a bool only a bool field, and null only a "| None" one.
+# float field, a bool only a bool field, null only a "| None" one, and a
+# list of numbers an array field (whose class makes it an array).
 _JSON_KINDS = {bool: {"bool"}, int: {"int", "float"}, float: {"float"}, str: {"str"},
-               type(None): {"None"}}
+               type(None): {"None"}, list: {"np.ndarray"}}
 
 
 def from_json_fields(cls, doc, what: str):
     """The dataclass cls built from a JSON object of its fields.  Raises
     InvalidConfigError, naming ``what`` (e.g. "lasso option"), when doc is
-    not an object, names an unknown field, or holds a value whose type is
-    not its field's.  The annotations are read as written, so cls's module
-    must postpone their evaluation (``from __future__ import annotations``)."""
+    not an object, names an unknown field, lacks a required one, or holds a
+    value of another type.  The annotations are read as written, so cls's
+    module must use ``from __future__ import annotations``."""
     if not isinstance(doc, dict):
         raise InvalidConfigError(f"expected a JSON object of {what}s, got {type(doc).__name__}")
     annotations = {f.name: f.type for f in fields(cls)}
     unknown = set(doc) - set(annotations)
     if unknown:
         raise InvalidConfigError(f"unknown {what}s: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InvalidConfigError(f"missing {what}s: {missing}")
     for name, value in doc.items():
-        if not _JSON_KINDS.get(type(value), set()) & set(annotations[name].split(" | ")):
+        fits = _JSON_KINDS.get(type(value), set()) & set(annotations[name].split(" | "))
+        if not fits or (isinstance(value, list) and not all(type(v) in (int, float) for v in value)):
             raise InvalidConfigError(f"{what} {name!r} must be {annotations[name]}, got {value!r}")
     return cls(**doc)
 

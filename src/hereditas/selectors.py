@@ -23,7 +23,7 @@ from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignE
 from .kernels import RANK_TOL
 from .metrics import mse
 from .standardize import RAW, CoefficientVector
-from .terms import TermSet, main
+from .terms import MAIN, TermSet, main
 
 # Internal slack for the KKT convergence certificate; one order tighter
 # than the 1e-6 the contract tests assert.
@@ -42,6 +42,7 @@ SCREEN_TOL = 1e4 * RANK_TOL
 SCREEN_SLACK = 1e3
 AIC_ULP = 1e-12
 
+AUTO_START = "auto"
 FULL_START = "full"
 NULL_START = "null"
 
@@ -69,12 +70,12 @@ class LassoOptions:
 
 @dataclass(frozen=True)
 class StepwiseOptions:
-    start: str = FULL_START
+    start: str = AUTO_START  # see stepwise_aic
     max_selected: int | None = None  # defaults to n - 1 at fit time
 
     def __post_init__(self):
-        if self.start not in (FULL_START, NULL_START):
-            raise ValueError(f"start must be {FULL_START!r} or {NULL_START!r}")
+        if self.start not in (AUTO_START, FULL_START, NULL_START):
+            raise ValueError(f"start must be {AUTO_START!r}, {FULL_START!r} or {NULL_START!r}")
         if self.max_selected is not None and self.max_selected < 1:
             raise ValueError("max_selected must be at least 1")
 
@@ -88,6 +89,7 @@ class FitResult:
     iterations: int  # full CD sweeps (0 when the exact step certified) or stepwise moves
     converged: bool
     aic_path: tuple[float, ...] = field(default=())  # stepwise audit trail
+    start: str | None = None  # the stepwise starting model, "full" or "null"
 
 
 def _default_terms(m: int) -> TermSet:
@@ -479,26 +481,31 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     are therefore those of scoring every move exactly.  A step whose current
     model is itself near-singular, or whose exact scores leave their bounds,
     scores every move exactly.
+
+    ``opts.start`` "auto" starts null when n <= m + 1, m > max_selected, or
+    the full model fails the rank test while its main effects pass it (a
+    square is affine in a two-valued main), and full otherwise; an explicit
+    "full" outside the first two bounds raises InfeasibleStartError.
     """
     opts = opts or StepwiseOptions()
     X, y = _as_xy(X, y)
     n, m = X.shape
+    terms = _default_terms(m) if terms is None else terms
     max_selected = opts.max_selected if opts.max_selected is not None else max(n - 1, 1)
-    if opts.start == FULL_START:
-        if n <= m + 1:
-            raise InfeasibleStartError(
-                f"full-model start needs n > {m + 1} rows, got n={n}"
-            )
-        if m > max_selected:
-            raise InfeasibleStartError(
-                f"full-model start with {m} columns exceeds max_selected={max_selected}"
-            )
-        current: tuple[int, ...] = tuple(range(m))
-    else:
-        current = ()
+    feasible = n > m + 1 and m <= max_selected
+    if opts.start == FULL_START and not feasible:
+        raise InfeasibleStartError(
+            f"full-model start needs n > {m + 1} rows, got n={n}" if n <= m + 1 else
+            f"full-model start with {m} columns exceeds max_selected={max_selected}")
+    full = opts.start == FULL_START or (opts.start == AUTO_START and feasible)
 
     search = _GramSearch(X, y)
+    current: tuple[int, ...] = tuple(range(m)) if full else ()
     rss, ratio, _ = search.solve(current)
+    mains = tuple(j for j, t in enumerate(terms.terms) if t.kind == MAIN)
+    if opts.start == AUTO_START and full and ratio <= RANK_TOL < search.solve(mains)[1]:
+        full, current = False, ()
+        rss, ratio, _ = search.solve(current)
     cur_aic = search.aic_of(rss, len(current))
     aic_path = [cur_aic]
     moves = 0
@@ -528,7 +535,6 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         raise SingularDesignError("final stepwise model is rank deficient")
     slopes = np.zeros(m)
     slopes[list(current)] = beta[1:]
-    coefs = CoefficientVector(_default_terms(m) if terms is None else terms, float(beta[0]),
-                              slopes, scale_tag)
+    coefs = CoefficientVector(terms, float(beta[0]), slopes, scale_tag)
     return FitResult(coefs, tuning=cur_aic, iterations=moves, converged=converged,
-                     aic_path=tuple(aic_path))
+                     aic_path=tuple(aic_path), start=FULL_START if full else NULL_START)

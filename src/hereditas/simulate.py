@@ -212,7 +212,6 @@ class ReplicateData:
     valid: Split
     test: Split
     truth: TruthSpec
-    replicate: int
     test_design: np.ndarray  # the test split's expanded design, which every cell scores on
 
 
@@ -226,7 +225,7 @@ def generate_replicate(cfg: SettingConfig, rep_index: int) -> ReplicateData:
         x = draw_mains(rng, n, cfg.p, cfg.x_distribution)
         design = expand(x, truth.terms)
         splits.append(Split(RawDesign(x), design @ coefs + rng.normal(0.0, cfg.sigma, size=n)))
-    return ReplicateData(*splits, truth, rep_index, test_design=design)  # the test split is last
+    return ReplicateData(*splits, truth, test_design=design)  # the test split is last
 
 
 @dataclass(frozen=True)

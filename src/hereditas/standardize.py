@@ -78,15 +78,6 @@ class LocationScale:
     def effective_centers(self) -> np.ndarray:
         return self.centers - self.delta_applied
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LocationScale":
-        return cls(
-            estimator=d["estimator"],
-            centers=np.asarray(d["centers"], dtype=np.float64),
-            scales=np.asarray(d["scales"], dtype=np.float64),
-            delta_applied=np.asarray(d["delta_applied"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
 class RegularParams:

@@ -24,6 +24,16 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _four_mains_csv(tmp_path):
+    """300 rows of four Gaussian mains (14 expanded columns) and a y column."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((300, 4))
+    y = x.sum(axis=1) + x[:, 0] * x[:, 1] + rng.standard_normal(300)
+    path = tmp_path / "four.csv"
+    write_csv(path, ["a", "b", "c", "d", "y"], np.column_stack([x, y]).tolist())
+    return path
+
+
 @pytest.fixture()
 def dataset_csv(tmp_path):
     """A small Setting-1-style dataset with a y column."""
@@ -208,6 +218,15 @@ class TestSimulateCommand:
         with open(golden, "rb") as fh:
             assert (tmp_path / "setting1.report.tsv").read_bytes() == fh.read()
 
+    def test_stepwise_on_a_wide_setting(self, tmp_path):
+        # p = 20 expands to 230 columns for 200 training rows: stepwise starts null.
+        cfg_path = tmp_path / "wide.json"
+        cfg_path.write_text(json.dumps({"p": 20, "replicates": 1}))
+        assert main(["simulate", "--config", str(cfg_path), "--methods", "stepwise",
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "custom.report.json").read_text())
+        assert [c["method"] for c in doc["cells"]] == ["stepwise", "stepwise"]
+
     def test_threads_below_one_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--preset", "setting1", "--replicates", "1", "--threads", "0",
                    "--out-dir", str(tmp_path)])
@@ -265,12 +284,8 @@ class TestFitCommand:
         summary = json.loads((tmp_path / "wide.stepwise.hierarchical.fit.json").read_text())
         assert summary["tuning"]["start"] == "null"
 
-    def test_stepwise_start_from_options_file_unless_flag_given(self, tmp_path, capsys):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((300, 4))  # 14 expanded columns
-        y = x.sum(axis=1) + x[:, 0] * x[:, 1] + rng.standard_normal(300)
-        path = tmp_path / "four.csv"
-        write_csv(path, ["a", "b", "c", "d", "y"], np.column_stack([x, y]).tolist())
+    def test_stepwise_start_from_options_file(self, tmp_path, capsys):
+        path = _four_mains_csv(tmp_path)
         opts = tmp_path / "stepwise.json"
         opts.write_text(json.dumps({"start": "null", "max_selected": 3}))
         args = ["fit", str(path), "--method", "stepwise", "--stepwise-options", str(opts),
@@ -279,8 +294,60 @@ class TestFitCommand:
         summary = json.loads((tmp_path / "four.stepwise.hierarchical.fit.json").read_text())
         assert summary["tuning"]["start"] == "null"
         capsys.readouterr()
-        assert main(args + ["--start", "full"]) == 2
-        assert "exceeds max_selected=3" in capsys.readouterr().err
+        opts.write_text(json.dumps({"start": "full", "max_selected": 3}))
+        assert main(args) == 2
+        assert "full-model start with 14 columns exceeds max_selected=3" in capsys.readouterr().err
+        # The options file is the one place a start is chosen.
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--start", "null"])
+        assert exc.value.code == 2
+
+    def test_max_selected_alone_starts_null(self, tmp_path):
+        # Fourteen columns do not fit within the cap, so the full start is
+        # infeasible and both commands start null.
+        opts = tmp_path / "stepwise.json"
+        opts.write_text(json.dumps({"max_selected": 3}))
+        rc = main(["fit", str(_four_mains_csv(tmp_path)), "--method", "stepwise",
+                   "--stepwise-options", str(opts), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "four.stepwise.hierarchical.fit.json").read_text())
+        assert summary["tuning"]["start"] == "null"
+        assert summary["n_selected"] >= 1
+        assert main(SIM_ONE + ["--methods", "stepwise", "--stepwise-options", str(opts),
+                               "--out-dir", str(tmp_path / "sim")]) == 0
+
+    @pytest.mark.parametrize("scheme", ["hierarchical", "regular"])
+    def test_stepwise_binary_mains_start_null(self, tmp_path, scheme):
+        # X^2 == X for a 0/1 main, so the full model is singular.
+        rng = np.random.default_rng(11)
+        x = np.column_stack([rng.integers(0, 2, (300, 2)), rng.standard_normal((300, 2))])
+        y = x[:, 0] + x[:, 2] + x[:, 0] * x[:, 2] + rng.standard_normal(300)
+        path = tmp_path / "binary.csv"
+        write_csv(path, ["a", "b", "c", "d", "y"], np.column_stack([x, y]).tolist())
+        rc = main(["fit", str(path), "--method", "stepwise", "--scheme", scheme,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / f"binary.stepwise.{scheme}.fit.json").read_text())
+        assert summary["tuning"]["start"] == "null"
+        if scheme == "hierarchical":
+            assert summary["heredity"] == "satisfied"
+
+    def test_four_cells_match_golden_file(self, tmp_path, capsys):
+        # Written by an earlier commit; a refactor must reproduce it exactly.
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "four_mains.fit.json")) as fh:
+            golden = json.load(fh)
+        got = {}
+        for method in ("lasso", "stepwise"):
+            for scheme in ("hierarchical", "regular"):
+                assert main(["fit", os.path.join(data, "four_mains.csv"), "--method", method,
+                             "--scheme", scheme, "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+                cell = got[f"{method}/{scheme}"] = {"stdout": capsys.readouterr().out}
+                if method == "stepwise":
+                    fit = json.loads((tmp_path / f"four_mains.{method}.{scheme}.fit.json")
+                                     .read_text())
+                    cell.update(start=fit["tuning"]["start"], steps=fit["tuning"]["steps"])
+        assert got == golden
 
     # On the regular-scheme splits other than (0, 3), the Cholesky factor of
     # the singular Gram has a tiny positive pivot; the rank guard must catch it.
@@ -519,6 +586,26 @@ class TestMalformedJson:
         assert main(["report", str(path)]) == 2
         assert "not a campaign report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cells,message", [
+        ([{}], "a cell is not an object with a string method and scheme"),
+        ([1], "a cell is not an object with a string method and scheme"),
+        ([{"method": "lasso", "scheme": 2, "aggregates": {}}], "a string method and scheme"),
+        ([{"method": "lasso", "scheme": "regular"}], "and an aggregates object"),
+        ([{"method": "lasso", "scheme": "regular", "aggregates": {"msh": 3}}],
+         "expected a JSON object of aggregate fields, got int"),
+        ([{"method": "lasso", "scheme": "regular", "aggregates": {"msh": {"mean": 1.0}}}],
+         "missing aggregate fields: ['median', 'se', 'n']"),
+        ([{"method": "lasso", "scheme": "regular",
+           "aggregates": {"msh": {"mean": "1", "median": 1.0, "se": 0.0, "n": 2}}}],
+         "aggregate field 'mean' must be float, got '1'"),
+    ])
+    def test_report_with_malformed_cell(self, tmp_path, capsys, cells, message):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"config": {"name": "x"}, "cells": cells}))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
     @pytest.mark.parametrize("doc,message", [
         ([], "expected a JSON object of config fields, got list"),
         ({"p": "ten"}, "config field 'p' must be int, got 'ten'"),
@@ -614,9 +701,9 @@ class TestStandardizeRoundTrip:
         from hereditas.terms import expand
 
         z = read_table(tmp_path / "m.hierarchical.standardized.csv")
-        params = LocationScale.from_json_dict(
-            json.loads((tmp_path / "m.hierarchical.params.json").read_text())
-        )
+        params = from_json_fields(
+            LocationScale, json.loads((tmp_path / "m.hierarchical.params.json").read_text()),
+            "location-scale field")
         terms = canonical_terms(3)
         assert list(z.columns) == terms.labels()
         fit = lasso_fit(z.data, y, 0.02, terms=terms, scale_tag=HIER_STD)

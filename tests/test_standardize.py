@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hereditas.errors import DegenerateColumnError, InconsistentParamsError
-from hereditas.io import to_json
+from hereditas.errors import DegenerateColumnError, InconsistentParamsError, InvalidConfigError
+from hereditas.io import from_json_fields, to_json
 from hereditas.standardize import (
     HIER_STD,
     MEAN_SD,
@@ -68,9 +68,26 @@ class TestFitLocationScale:
     def test_json_round_trip(self):
         rng = np.random.default_rng(3)
         ls = fit_location_scale(rng.standard_normal((30, 4)) + 1.0)
-        back = LocationScale.from_json_dict(json.loads(json.dumps(to_json(ls))))
+        back = from_json_fields(LocationScale, json.loads(json.dumps(to_json(ls))),
+                                "location-scale field")
         np.testing.assert_array_equal(back.centers, ls.centers)
         np.testing.assert_array_equal(back.scales, ls.scales)
+
+    @pytest.mark.parametrize("doc,message", [
+        ({}, "missing location-scale fields: ['estimator', 'centers', 'scales', "
+             "'delta_applied']"),
+        # The params.json of the regular scheme covers every expanded column.
+        (to_json(standardize_regular(np.arange(12.0).reshape(4, 3) ** 1.5, TS3)[1]),
+         "unknown location-scale fields: ['labels']"),
+        ({"estimator": "mean-sd", "centers": [0.0, "1"], "scales": [1.0, 1.0],
+          "delta_applied": [0.0, 0.0]}, "location-scale field 'centers' must be np.ndarray"),
+        ({"estimator": "mean-sd", "centers": 0.0, "scales": [1.0], "delta_applied": [0.0]},
+         "location-scale field 'centers' must be np.ndarray, got 0.0"),
+    ], ids=["empty", "regular-params", "string-entry", "number-not-list"])
+    def test_json_load_rejects_other_documents(self, doc, message):
+        with pytest.raises(InvalidConfigError) as exc:
+            from_json_fields(LocationScale, doc, "location-scale field")
+        assert message in str(exc.value)
 
 
 class TestStandardizeHierarchical:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hereditas.errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
 from hereditas.selectors import (
+    AUTO_START,
     FULL_START,
     NULL_START,
     FitResult,
@@ -18,7 +19,7 @@ from hereditas.selectors import (
     stepwise_aic,
 )
 from hereditas.standardize import RAW, CoefficientVector
-from hereditas.terms import TermSet, main
+from hereditas.terms import TermSet, canonical_terms, expand, main
 
 
 def oracle_aic(x, y, cols):
@@ -370,6 +371,36 @@ class TestScreenedSearch:
         assert len(taken) == fit.iterations
         assert taken[step - 1] == 0  # the deletion of x0, not the addition of x3
         assert outcome(stepwise_aic, x, y, opts) == outcome(reference_stepwise, x, y, opts)
+
+
+class TestAutoStart:
+    @pytest.mark.parametrize("kind,start", [
+        ("gaussian", FULL_START),
+        ("wide", NULL_START),  # n <= m + 1
+        ("capped", NULL_START),  # m > max_selected
+        ("binary", NULL_START),  # X^2 == X makes the full model singular
+        ("duplicate", FULL_START),  # singular mains: the full start ends rank deficient
+    ])
+    def test_resolves_to_and_fits_as_the_explicit_start(self, kind, start):
+        rng = np.random.default_rng(21)
+        n = 10 if kind == "wide" else 120
+        x = rng.standard_normal((n, 3))
+        if kind == "binary":
+            x[:, :2] = rng.integers(0, 2, (n, 2))
+        elif kind == "duplicate":
+            x[:, 2] = x[:, 0]
+        terms = canonical_terms(3)
+        X = expand(x, terms)
+        y = x[:, 0] + x[:, 0] * x[:, 1] + rng.standard_normal(n)
+        cap = 4 if kind == "capped" else None
+
+        def run(start):
+            return outcome(lambda X, y, opts: stepwise_aic(X, y, opts, terms), X, y,
+                           StepwiseOptions(start=start, max_selected=cap))
+
+        assert run(AUTO_START) == run(start)
+        if kind != "duplicate":
+            assert stepwise_aic(X, y, StepwiseOptions(max_selected=cap), terms).start == start
 
 
 def _bisect(f, lo, hi):
