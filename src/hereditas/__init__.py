@@ -49,7 +49,7 @@ from .standardize import (
     standardize_hierarchical,
     standardize_regular,
 )
-from .terms import RawDesign, TermId, TermSet, canonical_terms, expand, inter, main, parents, quad
+from .terms import TermId, TermSet, canonical_terms, expand, inter, main, quad
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "LassoOptions",
     "LocationScale",
     "PRESETS",
-    "RawDesign",
     "RegularParams",
     "SettingConfig",
     "SnrEstimate",
@@ -86,7 +85,6 @@ __all__ = [
     "msh",
     "msh_counts",
     "ols_fit",
-    "parents",
     "preset",
     "quad",
     "run_campaign",

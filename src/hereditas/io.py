@@ -148,22 +148,24 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def write_matrix_csv(path, header: list[str], matrix: np.ndarray) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in np.asarray(matrix):
-        writer.writerow([repr(float(v)) for v in row])
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def write_matrix_csv(path, header: list[str], matrix: np.ndarray) -> None:
+    _write_csv(path, header, ([repr(float(v)) for v in row] for row in np.asarray(matrix)))
 
 
 def write_coefficients_csv(path, coefs: CoefficientVector) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["term", "value", "scale"])
-    for label, value, tag in coefs.to_csv_rows():
-        writer.writerow([label, repr(float(value)), tag])
-    atomic_write_text(path, buf.getvalue())
+    """One row per coefficient, the intercept first: term label, value, scale tag."""
+    labels = ["(Intercept)", *coefs.terms.labels()]
+    values = [coefs.intercept, *coefs.values]
+    _write_csv(path, ["term", "value", "scale"],
+               ([label, repr(float(v)), coefs.scale_tag] for label, v in zip(labels, values)))
 
 
 def config_hash(config_dict: dict) -> str:

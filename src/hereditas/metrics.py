@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedDistributionError
-from .terms import INTER, MAIN, QUAD, TermId, TermSet, expand, main
+from .terms import INTER, MAIN, QUAD, TermId, TermSet, expand, heredity_parents
 
 STANDARD_NORMAL = "standard-normal"
 LOGNORMAL01 = "lognormal-0-1"
@@ -67,13 +67,8 @@ def msh_counts(selected: Iterable[TermId]) -> tuple[int, int]:
     The denominator is what the *selected* model demands, not what the truth
     does; the raw counts are exposed so other ratios can be recomputed.
     """
-    selected = frozenset(selected)
-    required: set[int] = set()
-    for t in selected:
-        if t.is_second_order:
-            required |= t.parents()
-    present = sum(1 for j in required if main(j) in selected)
-    return present, len(required)
+    required, mains = heredity_parents(selected)
+    return len(required & mains), len(required)
 
 
 def msh(selected: Iterable[TermId]) -> float:
@@ -137,9 +132,6 @@ class SnrEstimate:
     value: float
     se: float | None  # None for the exact analytic route
     method: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def draw_mains(rng, n: int, p: int, distribution: str) -> np.ndarray:

@@ -52,7 +52,7 @@ from .standardize import (
     standardize_hierarchical,
     standardize_regular,
 )
-from .terms import RawDesign, TermSet, canonical_terms, expand, inter, main, quad
+from .terms import TermSet, canonical_terms, expand, inter, main, quad
 
 LASSO = "lasso"
 STEPWISE = "stepwise"
@@ -202,7 +202,7 @@ def build_truth(cfg: SettingConfig) -> TruthSpec:
 
 
 class Split(NamedTuple):
-    design: RawDesign
+    design: np.ndarray  # the raw mains
     y: np.ndarray
 
 
@@ -224,18 +224,8 @@ def generate_replicate(cfg: SettingConfig, rep_index: int) -> ReplicateData:
     for n in (cfg.n_train, cfg.n_valid, cfg.n_test):
         x = draw_mains(rng, n, cfg.p, cfg.x_distribution)
         design = expand(x, truth.terms)
-        splits.append(Split(RawDesign(x), design @ coefs + rng.normal(0.0, cfg.sigma, size=n)))
+        splits.append(Split(x, design @ coefs + rng.normal(0.0, cfg.sigma, size=n)))
     return ReplicateData(*splits, truth, test_design=design)  # the test split is last
-
-
-@dataclass(frozen=True)
-class PipelineOutcome:
-    method: str
-    scheme: str
-    raw_coefs: CoefficientVector
-    selected: frozenset
-    fit: FitResult
-    metrics: ReplicateMetrics
 
 
 def standardize_train(raw, terms: TermSet, scheme: str, estimator: str = MEAN_SD) -> tuple:
@@ -298,16 +288,12 @@ def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
 def run_pipeline(data: ReplicateData, method: str, scheme: str,
                  estimator: str = MEAN_SD,
                  lasso_opts: LassoOptions | None = None,
-                 stepwise_opts: StepwiseOptions | None = None) -> PipelineOutcome:
+                 stepwise_opts: StepwiseOptions | None = None) -> ReplicateMetrics:
     """fit_pipeline on a replicate's train/valid splits, scored on its test split."""
-    terms = data.truth.terms
-    fitted = fit_pipeline(data.train, data.valid, terms, method, scheme, estimator,
-                          lasso_opts, stepwise_opts)
-    raw = fitted.raw_coefs
-    selected = raw.selected()
+    raw = fit_pipeline(data.train, data.valid, data.truth.terms, method, scheme, estimator,
+                       lasso_opts, stepwise_opts).raw_coefs
     test_mse = mse(raw.predict(data.test_design), data.test.y)
-    return PipelineOutcome(method, scheme, raw, selected, fitted.fit,
-                           score_selection(selected, data.truth, test_mse))
+    return score_selection(raw.selected(), data.truth, test_mse)
 
 
 @dataclass(frozen=True)
@@ -372,7 +358,7 @@ def _replicate_worker(task) -> list[ReplicateMetrics]:
     cfg, cells, lasso_opts, stepwise_opts, rep = task
     data = generate_replicate(cfg, rep)
     return [
-        run_pipeline(data, method, scheme, cfg.estimator, lasso_opts, stepwise_opts).metrics
+        run_pipeline(data, method, scheme, cfg.estimator, lasso_opts, stepwise_opts)
         for method, scheme in cells
     ]
 

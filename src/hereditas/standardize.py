@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InconsistentParamsError, InvalidDimensionError
-from .terms import MAIN, QUAD, TermId, TermSet, _main_values, expand, main
+from .terms import MAIN, QUAD, TermId, TermSet, _main_values, expand, heredity_parents, main
 
 MEAN_SD = "mean-sd"
 MEDIAN_IQR = "median-iqr"
@@ -151,13 +151,6 @@ class CoefficientVector:
             )
         return self.intercept + design @ self.values
 
-    def to_csv_rows(self) -> list[tuple[str, float, str]]:
-        rows = [("(Intercept)", self.intercept, self.scale_tag)]
-        rows += [
-            (t.label(), float(v), self.scale_tag) for t, v in zip(self.terms.terms, self.values)
-        ]
-        return rows
-
 
 def _sample_sd(x: np.ndarray) -> np.ndarray:
     """np.std(x, axis=0, ddof=1), taken again on x / max|x| wherever squaring
@@ -271,24 +264,25 @@ def back_transform_hierarchical(
     alpha = {t.i: 0.0 for t in out_terms.terms if t.kind == MAIN}
     intercept = std_coefs.intercept
 
-    for t, v in zip(in_terms.terms, std_coefs.values):
-        if t.kind == MAIN:
-            alpha[t.i] += v / s[t.i]
-            intercept -= v * c[t.i] / s[t.i]
-        elif t.kind == QUAD:
-            out[out_terms.index[t]] = v / s[t.i] ** 2
-            alpha[t.i] -= 2.0 * c[t.i] * v / s[t.i] ** 2
-            intercept += v * c[t.i] ** 2 / s[t.i] ** 2
-        else:
-            denom = s[t.i] * s[t.j]
-            out[out_terms.index[t]] = v / denom
-            alpha[t.i] -= c[t.j] * v / denom
-            alpha[t.j] -= c[t.i] * v / denom
-            intercept += v * c[t.i] * c[t.j] / denom
+    with np.errstate(all="ignore"):
+        for t, v in zip(in_terms.terms, std_coefs.values):
+            if t.kind == MAIN:
+                alpha[t.i] += v / s[t.i]
+                intercept -= v * c[t.i] / s[t.i]
+            elif t.kind == QUAD:
+                out[out_terms.index[t]] = v / s[t.i] ** 2
+                alpha[t.i] -= 2.0 * c[t.i] * v / s[t.i] ** 2
+                intercept += v * c[t.i] ** 2 / s[t.i] ** 2
+            else:
+                denom = s[t.i] * s[t.j]
+                out[out_terms.index[t]] = v / denom
+                alpha[t.i] -= c[t.j] * v / denom
+                alpha[t.j] -= c[t.i] * v / denom
+                intercept += v * c[t.i] * c[t.j] / denom
 
     for j, a in alpha.items():
         out[out_terms.index[main(j)]] = a
-    return CoefficientVector(out_terms, intercept, out, RAW)
+    return _raw_coefficients(out_terms, intercept, out)
 
 
 def back_transform_regular(
@@ -305,9 +299,22 @@ def back_transform_regular(
     in_terms = std_coefs.terms if terms is None else terms
     if params.terms != in_terms:
         raise InconsistentParamsError("params do not cover the coefficient vector's terms")
-    slopes = std_coefs.values / params.scales
-    intercept = std_coefs.intercept - float(np.dot(std_coefs.values, params.centers / params.scales))
-    return CoefficientVector(in_terms, intercept, slopes, RAW)
+    with np.errstate(all="ignore"):
+        slopes = std_coefs.values / params.scales
+        intercept = std_coefs.intercept - float(
+            np.dot(std_coefs.values, params.centers / params.scales))
+    return _raw_coefficients(in_terms, intercept, slopes)
+
+
+def _raw_coefficients(terms: TermSet, intercept: float, values: np.ndarray) -> CoefficientVector:
+    """The raw-scale vector of a back-transform.  Raises InvalidDimensionError
+    naming the first term, else the intercept, whose coefficient overflowed:
+    tiny scales make huge raw-scale coefficients."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size or not math.isfinite(intercept):
+        name = terms.terms[bad[0]].label() if bad.size else "the intercept"
+        raise InvalidDimensionError(f"raw-scale coefficient of {name} overflows")
+    return CoefficientVector(terms, intercept, values, RAW)
 
 
 def check_heredity(coefs: CoefficientVector) -> tuple[bool, list[TermId]]:
@@ -317,9 +324,7 @@ def check_heredity(coefs: CoefficientVector) -> tuple[bool, list[TermId]]:
     Expects raw-scale coefficients: that is the scale on which the paper-style
     selection is read off.
     """
-    nonzero_mains = {t.i for t in coefs.terms.terms if t.kind == MAIN and coefs.value(t) != 0.0}
-    violators = []
-    for t, v in zip(coefs.terms.terms, coefs.values):
-        if t.is_second_order and v != 0.0 and not t.parents() <= nonzero_mains:
-            violators.append(t)
+    nonzero = coefs.nonzero_terms()
+    _, mains = heredity_parents(nonzero)
+    violators = [t for t in nonzero if not t.parents() <= mains]
     return (not violators), violators

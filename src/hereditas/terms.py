@@ -94,10 +94,6 @@ def inter(j: int, k: int) -> TermId:
     return TermId(INTER, lo, hi)
 
 
-def parents(t: TermId) -> frozenset[int]:
-    return t.parents()
-
-
 def parse_label(label: str) -> TermId:
     """Inverse of :meth:`TermId.label` ("X3", "X1:X2", "X3^2")."""
     m = _LABEL_RE.match(label.strip())
@@ -159,16 +155,21 @@ class TermSet:
 
     def heredity_closure(self) -> "TermSet":
         """This set plus every parent main effect of its second-order terms."""
-        mains = {t.i for t in self.terms if t.kind == MAIN}
-        needed = set()
-        for t in self.terms:
-            if t.is_second_order:
-                needed |= t.parents()
-        missing = needed - mains
+        required, mains = heredity_parents(self.terms)
+        missing = required - mains
         if not missing:
             return self
         merged = sorted(set(self.terms) | {main(j) for j in missing}, key=TermId.sort_key)
         return TermSet(self.p, tuple(merged))
+
+
+def heredity_parents(terms) -> tuple[set[int], set[int]]:
+    """(required, mains) for any iterable of terms: the main indices its
+    second-order terms are built from, and the main indices it holds.
+    Strong heredity holds when required <= mains."""
+    terms = set(terms)
+    required = set().union(*(t.parents() for t in terms if t.is_second_order))
+    return required, {t.i for t in terms if t.kind == MAIN}
 
 
 def canonical_terms(p: int) -> TermSet:
@@ -181,35 +182,7 @@ def canonical_terms(p: int) -> TermSet:
     return TermSet(p, tuple(terms))
 
 
-@dataclass(frozen=True)
-class RawDesign:
-    """An n-by-p matrix of raw main effects with finite entries."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise InvalidDimensionError(
-                f"raw design must be a non-empty 2-d array, got shape {np.shape(self.values)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidDimensionError("raw design contains non-finite entries")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-
 def _main_values(raw) -> np.ndarray:
-    if isinstance(raw, RawDesign):
-        return raw.values
     v = np.asarray(raw, dtype=np.float64)
     if v.ndim != 2:
         raise InvalidDimensionError(f"expected a 2-d design, got shape {v.shape}")
@@ -219,8 +192,8 @@ def _main_values(raw) -> np.ndarray:
 def expand(raw, terms: TermSet) -> np.ndarray:
     """Build the n-by-|terms| design: X_j, X_j*X_k, X_j^2 columns in term order.
 
-    Accepts a RawDesign or a plain (n, p) array.  Raises InvalidDimensionError
-    when a product overflows.
+    Accepts an (n, p) array of raw mains.  Raises InvalidDimensionError when a
+    product overflows.
     """
     x = _main_values(raw)
     if x.shape[1] != terms.p:

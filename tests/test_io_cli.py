@@ -380,13 +380,21 @@ class TestFitCommand:
         assert rc == 2
         assert "overflows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("c", [1e150, 1e160])
-    def test_overflowing_design_fits_or_names_the_overflow(self, tmp_path, capsys, c):
+    @pytest.mark.parametrize("c,y_scale,codes", [
+        pytest.param(1e150, 1.0, {0}, id="1e+150"),
+        pytest.param(1e160, 1.0, {2}, id="1e+160"),
+        pytest.param(1e-152, 1e5, {0, 2}, id="1e-152"),
+    ])
+    def test_overflowing_design_fits_or_names_the_overflow(self, tmp_path, capsys, c, y_scale,
+                                                           codes):
         # At 1e150 the second-order columns (~1e300) and their spreads are
         # representable though their squares are not; at 1e160 the raw-scale
-        # model's products overflow.  A RuntimeWarning fails the suite.
+        # model's products overflow.  At 1e-152 the hierarchical back-transform
+        # divides by products of scales near 1e-152, so a raw-scale coefficient
+        # may overflow, and the regular scheme's ~1e-304 products have spreads
+        # whose squares underflow to zero.  A RuntimeWarning fails the suite.
         rng = np.random.default_rng(0)
-        y = rng.standard_normal(60)
+        y = y_scale * rng.standard_normal(60)
         x = rng.standard_normal((60, 2)) * c
         path = tmp_path / "big.csv"
         write_csv(path, ["X1", "X2", "y"], np.column_stack([x, y]).tolist())
@@ -398,8 +406,8 @@ class TestFitCommand:
                                "--estimator", estimator, "--out-dir", str(out)])
                     err = capsys.readouterr().err
                     assert "Warning" not in err
-                    if c < 1e154:
-                        assert rc == 0, err
+                    assert rc in codes, err
+                    if rc == 0:
                         (summary,) = out.glob("*.fit.json")
                         assert np.isfinite(json.loads(summary.read_text())["test_mse"])
                         (coefs,) = out.glob("*.coefficients.csv")
@@ -407,8 +415,9 @@ class TestFitCommand:
                             values = [float(row[1]) for row in list(csv.reader(fh))[1:]]
                         assert np.all(np.isfinite(values))
                     else:
-                        assert rc == 2
-                        assert err.startswith("error: ") and "overflows" in err
+                        tiny_regular = c < 1 and scheme == "regular"
+                        assert err.startswith("error: ")
+                        assert ("zero spread" if tiny_regular else "overflows") in err
 
     def test_threads_flag_rejected(self, dataset_csv, tmp_path):
         # --threads runs simulate's replicate workers; fit has none to run.

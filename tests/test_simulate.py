@@ -6,7 +6,6 @@ import pytest
 
 from hereditas.errors import InvalidConfigError
 from hereditas.io import dump_json, from_json_fields, to_json
-from hereditas.metrics import msh
 from hereditas.simulate import (
     DEFAULT_CELLS,
     HIERARCHICAL,
@@ -80,19 +79,19 @@ class TestGenerateReplicate:
         cfg = fast_cfg()
         a = generate_replicate(cfg, 3)
         b = generate_replicate(cfg, 3)
-        assert np.array_equal(a.train.design.values, b.train.design.values)
+        assert np.array_equal(a.train.design, b.train.design)
         assert np.array_equal(a.test.y, b.test.y)
 
     def test_streams_differ_between_replicates(self):
         cfg = fast_cfg()
         a = generate_replicate(cfg, 0)
         b = generate_replicate(cfg, 1)
-        assert not np.array_equal(a.train.design.values, b.train.design.values)
+        assert not np.array_equal(a.train.design, b.train.design)
 
     def test_lognormal_strictly_positive(self):
         data = generate_replicate(fast_cfg("R1"), 0)
-        assert np.all(data.train.design.values > 0)
-        assert np.all(data.test.design.values > 0)
+        assert np.all(data.train.design > 0)
+        assert np.all(data.test.design > 0)
 
     def test_train_variance_near_signal_plus_noise(self):
         # Var(Y) for the first preset is 12 + 64 = 76.
@@ -106,14 +105,14 @@ class TestGenerateReplicate:
         from hereditas.metrics import mse
 
         data = generate_replicate(preset("setting1"), 0)
-        pred = np.full(data.test.design.n, data.train.y.mean())
+        pred = np.full(data.test.design.shape[0], data.train.y.mean())
         assert mse(pred, data.test.y) == pytest.approx(76.0, abs=8.0)
 
     def test_split_sizes(self):
         data = generate_replicate(fast_cfg(), 0)
-        assert data.train.design.n == 120
-        assert data.valid.design.n == 120
-        assert data.test.design.n == 500
+        assert data.train.design.shape[0] == 120
+        assert data.valid.design.shape[0] == 120
+        assert data.test.design.shape[0] == 500
 
 
 class TestRunPipeline:
@@ -121,18 +120,17 @@ class TestRunPipeline:
         cfg = fast_cfg()
         for rep in range(3):
             out = run_pipeline(generate_replicate(cfg, rep), LASSO, HIERARCHICAL)
-            assert out.metrics.msh == 1.0
-            assert msh(out.selected) == 1.0
+            assert out.msh == 1.0
 
     def test_hierarchical_stepwise_msh_exactly_one(self):
         cfg = fast_cfg()
         out = run_pipeline(generate_replicate(cfg, 0), STEPWISE, HIERARCHICAL)
-        assert out.metrics.msh == 1.0
+        assert out.msh == 1.0
 
     def test_regular_msh_can_fall_short(self):
         cfg = fast_cfg()
         vals = [
-            run_pipeline(generate_replicate(cfg, rep), LASSO, REGULAR).metrics.msh
+            run_pipeline(generate_replicate(cfg, rep), LASSO, REGULAR).msh
             for rep in range(4)
         ]
         assert min(vals) < 1.0
@@ -141,16 +139,16 @@ class TestRunPipeline:
         cfg = fast_cfg(estimator=MEDIAN_IQR)
         out = run_pipeline(generate_replicate(cfg, 0), LASSO, HIERARCHICAL,
                            estimator=MEDIAN_IQR)
-        assert out.metrics.msh == 1.0
+        assert out.msh == 1.0
 
     def test_null_truth_recovers_noise_floor(self):
         cfg = fast_cfg(n_active_mains=0, n_active_inters=0, n_active_quads=0,
                        n_test=4000)
         out = run_pipeline(generate_replicate(cfg, 0), LASSO, HIERARCHICAL)
-        assert out.metrics.sensitivity is None  # no active terms to find
-        assert out.metrics.mse == pytest.approx(64.0, rel=0.15)
+        assert out.sensitivity is None  # no active terms to find
+        assert out.mse == pytest.approx(64.0, rel=0.15)
         # near-null: a handful of chance correlates out of 65 terms is fine
-        assert out.metrics.n_selected <= 12
+        assert out.n_selected <= 12
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfigError):

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from hereditas.errors import InvalidDimensionError
 from hereditas.terms import (
-    RawDesign,
     TermSet,
     canonical_terms,
     expand,
     inter,
     main,
-    parents,
     parse_label,
     quad,
 )
@@ -72,13 +70,13 @@ class TestCanonicalTerms:
 
 class TestParents:
     def test_main_is_own_parent(self):
-        assert parents(main(4)) == {4}
+        assert main(4).parents() == {4}
 
     def test_quad(self):
-        assert parents(quad(2)) == {2}
+        assert quad(2).parents() == {2}
 
     def test_inter(self):
-        assert parents(inter(1, 3)) == {1, 3}
+        assert inter(1, 3).parents() == {1, 3}
 
 
 class TestTermId:
@@ -159,17 +157,3 @@ class TestExpand:
         with pytest.raises(InvalidDimensionError):
             expand(np.ones((3, 2)), canonical_terms(3))
 
-
-class TestRawDesign:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidDimensionError):
-            RawDesign(np.array([[1.0, np.inf]]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidDimensionError):
-            RawDesign(np.empty((0, 2)))
-
-    def test_immutable(self):
-        d = RawDesign(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            d.values[0, 0] = 5.0
