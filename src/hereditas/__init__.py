@@ -15,7 +15,6 @@ from .metrics import (
     msh_counts,
     sensitivity,
     snr,
-    snr_monte_carlo,
     specificity,
 )
 from .selectors import (
@@ -91,7 +90,6 @@ __all__ = [
     "run_pipeline",
     "sensitivity",
     "snr",
-    "snr_monte_carlo",
     "specificity",
     "standardize_hierarchical",
     "standardize_regular",

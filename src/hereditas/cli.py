@@ -289,6 +289,13 @@ def cmd_fit(args) -> int:
     _write_manifest(args.out_dir, " ".join(sys.argv), run_config,
                     args.seed, started, [coef_path, json_path], stem)
 
+    if not fit.converged:
+        if tuned is not None:
+            why = (f"the lasso at the chosen lambda (index {tuned.best_index}) reached "
+                   f"max_iter={(lasso_opts or LassoOptions()).max_iter} sweeps")
+        else:
+            why = "max_selected hid an improving stepwise addition"
+        print(f"warning: the fit did not converge: {why}", file=sys.stderr)
     if args.format == "json":
         sys.stdout.write(dump_json(summary))
     else:

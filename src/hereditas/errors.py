@@ -34,4 +34,4 @@ class InvalidConfigError(HereditasError):
 
 
 class UnsupportedDistributionError(HereditasError):
-    """No analytic formula or Monte Carlo route for this distribution."""
+    """No sampler or moments for this distribution."""

@@ -10,22 +10,20 @@ absent (None), never as zero.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDimensionError, UnsupportedDistributionError
-from .terms import INTER, MAIN, QUAD, TermId, TermSet, expand, heredity_parents
+from .terms import INTER, MAIN, QUAD, TermId, TermSet, heredity_parents
 
 STANDARD_NORMAL = "standard-normal"
 LOGNORMAL01 = "lognormal-0-1"
 DISTRIBUTIONS = (STANDARD_NORMAL, LOGNORMAL01)
 
 TERM_CLASSES = (MAIN, INTER, QUAD)
-
-# Draws behind every Monte Carlo SNR (the lognormal presets' route).
-MC_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -55,10 +53,6 @@ class TruthSpec:
         for t, v in self.active_coefs.items():
             out[self.terms.index[t]] = v
         return out
-
-    def signal(self, x_mains: np.ndarray) -> np.ndarray:
-        """Noise-free responses for a matrix of raw main effects."""
-        return expand(x_mains, self.terms) @ self.coefficient_array()
 
 
 def msh_counts(selected: Iterable[TermId]) -> tuple[int, int]:
@@ -130,8 +124,15 @@ def mse(predictions, y) -> float:
 @dataclass(frozen=True)
 class SnrEstimate:
     value: float
-    se: float | None  # None for the exact analytic route
-    method: str
+    se: float | None  # always None: the value is exact
+    method: str  # always "analytic"
+
+
+# Raw moments E[X^k], k = 0..4, of one main under each supported distribution.
+MOMENTS = {
+    STANDARD_NORMAL: (1.0, 0.0, 1.0, 0.0, 3.0),
+    LOGNORMAL01: tuple(math.exp(k * k / 2) for k in range(5)),
+}
 
 
 def draw_mains(rng, n: int, p: int, distribution: str) -> np.ndarray:
@@ -144,43 +145,34 @@ def draw_mains(rng, n: int, p: int, distribution: str) -> np.ndarray:
     )
 
 
-def snr_monte_carlo(truth: TruthSpec, distribution: str, seed: int = 0) -> SnrEstimate:
-    """Estimate Var(signal)/sigma^2 from MC_DRAWS simulated draws, with the
-    standard error of the variance estimate propagated through."""
-    rng = np.random.default_rng(seed)
-    signal = np.empty(MC_DRAWS)
-    chunk = 100_000
-    for start in range(0, MC_DRAWS, chunk):
-        stop = min(start + chunk, MC_DRAWS)
-        signal[start:stop] = truth.signal(
-            draw_mains(rng, stop - start, truth.terms.p, distribution)
-        )
-    var = float(np.var(signal, ddof=1))
-    centered = signal - signal.mean()
-    m4 = float(np.mean(centered**4))
-    se_var = math.sqrt(max(m4 - var * var, 0.0) / MC_DRAWS)
-    s2 = truth.sigma**2
-    return SnrEstimate(var / s2, se_var / s2, "monte-carlo")
+def _powers(t: TermId) -> Counter:
+    """The term as a monomial: main index -> exponent."""
+    return Counter((t.i, t.j) if t.kind == INTER else (t.i,) * (2 if t.kind == QUAD else 1))
 
 
-def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL, seed: int = 0) -> SnrEstimate:
-    """Signal-to-noise ratio Var(signal)/sigma^2 for i.i.d. main effects.
+def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> SnrEstimate:
+    """Signal-to-noise ratio Var(signal)/sigma^2 for i.i.d. main effects, exact.
 
-    Standard-normal mains admit a closed form: squares contribute twice
-    their squared coefficient (the variance of a chi-square_1), products of
-    distinct mains contribute once, and every cross-covariance vanishes by
-    odd-moment symmetry.  Other distributions fall back to Monte Carlo.
+    Every term is a product of at most two independent mains, so
+    Var(signal) = sum_t sum_u v_t v_u (E[tu] - E[t]E[u]) needs only the raw
+    moments E[X^k], k <= 4, of one main.
     """
-    if distribution == STANDARD_NORMAL:
-        var = 0.0
-        for t, v in truth.active_coefs.items():
-            var += 2.0 * v * v if t.kind == QUAD else v * v
-        return SnrEstimate(var / truth.sigma**2, None, "analytic")
-    if distribution == LOGNORMAL01:
-        return snr_monte_carlo(truth, distribution, seed)
-    raise UnsupportedDistributionError(
-        f"no SNR route for {distribution!r}; supported: {DISTRIBUTIONS}"
-    )
+    try:
+        moments = MOMENTS[distribution]
+    except KeyError:
+        raise UnsupportedDistributionError(
+            f"no moments for {distribution!r}; supported: {DISTRIBUTIONS}"
+        ) from None
+
+    def mean(powers: Counter) -> float:
+        return math.prod(moments[k] for k in powers.values())
+
+    terms = [(_powers(t), v) for t, v in truth.active_coefs.items()]
+    var = 0.0
+    for pt, vt in terms:
+        for pu, vu in terms:
+            var += vt * vu * (mean(pt + pu) - mean(pt) * mean(pu))
+    return SnrEstimate(var / truth.sigma**2, None, "analytic")
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,6 @@ def snr_summary(report: CampaignReport) -> str:
     s = report.snr
     printed = report.config.printed_snr
     parts = [f"snr[{s.method}] = {s.value:.6g}"]
-    if s.se is not None:
-        parts.append(f"(mc se {s.se:.3g})")
     if printed is not None:
         parts.append(f"tabulated {printed:g}")
     if report.snr_flagged:

@@ -251,22 +251,10 @@ def tune_lasso(train, valid, opts: LassoOptions | None = None, terms: TermSet | 
 def lasso_kkt_residual(X, y, fit: FitResult, lam: float,
                        opts: LassoOptions | None = None) -> tuple[float, float]:
     """Max KKT violations (active, inactive) on the internally standardized scale."""
-    prep, b, r = _solver_scale(X, y, fit, opts)
-    return kernels.kkt_violations(prep.XT @ r / len(prep.yc), b, prep.col_nrm2, lam)
-
-
-def lasso_objective(X, y, fit: FitResult, lam: float,
-                    opts: LassoOptions | None = None) -> float:
-    """(1/2n)RSS + lam*l1 evaluated on the internally standardized scale."""
-    prep, b, r = _solver_scale(X, y, fit, opts)
-    return float(r @ r) / (2 * len(prep.yc)) + lam * float(np.sum(np.abs(b)))
-
-
-def _solver_scale(X, y, fit: FitResult, opts: LassoOptions | None):
-    """The solver's inputs, and a fit's coefficients and residual, on its scale."""
     prep = _prepare(X, y, (opts or LassoOptions()).internal_standardize)
     b = fit.coefs.values * prep.x_scale
-    return prep, b, prep.yc - prep.XT.T @ b
+    r = prep.yc - prep.XT.T @ b
+    return kernels.kkt_violations(prep.XT @ r / len(prep.yc), b, prep.col_nrm2, lam)
 
 
 def ols_fit(X, y) -> tuple[float, np.ndarray, float]:

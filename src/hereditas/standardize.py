@@ -39,6 +39,10 @@ DEFAULT_DELTA = 1e-3
 # two mains' centers and scales in the back-transform, is finite.
 SQRT_MAX = math.sqrt(np.finfo(float).max)
 
+# Below this sample SD the squared deviations come within 1/eps of the
+# smallest normal float, so underflow may have cost them digits or zeroed them.
+SD_FLOOR = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class LocationScale:
@@ -154,13 +158,17 @@ class CoefficientVector:
 
 def _sample_sd(x: np.ndarray) -> np.ndarray:
     """np.std(x, axis=0, ddof=1), taken again on x / max|x| wherever squaring
-    the deviations overflowed: a spread of 1e300 is representable."""
+    the deviations overflowed or underflowed: spreads of 1e300 and of 1e-300
+    are representable."""
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(x, axis=0, ddof=1)
-        if np.all(np.isfinite(sd)):
+        redo = ~np.isfinite(sd) | (sd < SD_FLOOR)
+        if not np.any(redo):
             return sd
         peak = np.max(np.abs(x), axis=0)
-        return np.where(np.isfinite(sd), sd, peak * np.std(x / peak, axis=0, ddof=1))
+        redo &= peak > 0.0
+        rescaled = peak * np.std(x / np.where(redo, peak, 1.0), axis=0, ddof=1)
+        return np.where(redo, rescaled, sd)
 
 
 def _column_location_scale(col: np.ndarray, estimator: str) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """The names the benchmark's tracer patches still exist and still run.
 
 ``perfbench/tracer.py`` wraps package functions by module and attribute
-name and checks their results.  Loading it by path and tracing one small
-``simulate`` and the four ``fit`` cells makes a rename or a changed
-signature fail here, not first in a benchmark run.
+name and checks their results.  Loading it by path and tracing two small
+``simulate`` campaigns (normal mains, and lognormal mains under the
+median-IQR estimator) and the four ``fit`` cells makes a rename or a
+changed signature fail here, not first in a benchmark run.
 """
 
 import csv
@@ -33,7 +34,7 @@ def test_every_traced_name_runs_without_a_failed_check(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(["X1", "X2", "X3", "y"])
         writer.writerows(np.column_stack([x, y]).tolist())
-    commands = [["simulate", "--preset", "setting1", "--replicates", "1"]]
+    commands = [["simulate", "--preset", name, "--replicates", "1"] for name in ("setting1", "R3")]
     commands += [["fit", str(path), "--method", method, "--scheme", scheme]
                  for method in ("lasso", "stepwise") for scheme in ("hierarchical", "regular")]
 

@@ -7,7 +7,9 @@ near-copy, 0/1, constant, zero and +-a columns at magnitudes from 1e-200 to
 in process.  A RuntimeWarning is an error in this suite, so a silent
 overflow fails the example; any other exception is a traceback the CLI let
 through.  On exit 0 the hierarchical scheme must keep strong heredity and
-report finite numbers.
+report finite numbers, and a lasso whose chosen fit converged must meet
+its KKT conditions within 1e-6 (or the solver's rounding floor, when that
+is larger).
 """
 
 import contextlib
@@ -17,13 +19,16 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hereditas import simulate
 from hereditas.cli import main
-from hereditas.simulate import HIERARCHICAL, METHODS, SCHEMES
+from hereditas.selectors import _prepare, _solver_inputs, lasso_kkt_residual
+from hereditas.simulate import HIERARCHICAL, LASSO, METHODS, SCHEMES
 from hereditas.standardize import ESTIMATORS
 
 COLUMNS = ("gaussian", "duplicate", "near-copy", "binary", "constant", "zero", "plus-minus")
@@ -78,9 +83,19 @@ def _tiny_design(seed: int):
     return x, 1e5 * rng.standard_normal(60)
 
 
-def _run(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def _run(argv):
+    """The command's exit code, and (training pair, TunedLasso) for each lasso it tuned."""
+    tuned = []
+    tune_lasso = simulate.tune_lasso
+
+    def record(train, *args):
+        result = tune_lasso(train, *args)
+        tuned.append((train, result))
+        return result
+
+    with mock.patch.object(simulate, "tune_lasso", side_effect=record), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv), tuned
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -98,9 +113,16 @@ def test_cli_exits_0_or_2_and_keeps_heredity(data, seed, estimator):
         for scheme in SCHEMES:
             for method in METHODS:
                 out = os.path.join(tmp, f"{method}-{scheme}")
-                rc = _run(["fit", path, "--method", method, "--scheme", scheme,
-                           "--estimator", estimator, "--seed", str(seed), "--out-dir", out])
+                rc, tuned = _run(["fit", path, "--method", method, "--scheme", scheme,
+                                  "--estimator", estimator, "--seed", str(seed),
+                                  "--out-dir", out])
                 assert rc in (0, 2)
+                if rc == 0 and method == LASSO:
+                    (((z, y_tr), lasso),) = tuned
+                    if lasso.fit.converged:
+                        slack = _solver_inputs(_prepare(z, y_tr, True))[1]
+                        kkt = lasso_kkt_residual(z, y_tr, lasso.fit, lasso.best_lambda)
+                        assert max(kkt) <= max(1e-6, slack)
                 if rc == 0 and scheme == HIERARCHICAL:
                     stem = os.path.join(out, f"data.{method}.{scheme}")
                     with open(stem + ".fit.json") as fh:
@@ -110,6 +132,6 @@ def test_cli_exits_0_or_2_and_keeps_heredity(data, seed, estimator):
                     with open(stem + ".coefficients.csv") as fh:
                         values = [float(row[1]) for row in list(csv.reader(fh))[1:]]
                     assert all(math.isfinite(v) for v in values)
-            rc = _run(["standardize", path, "--scheme", scheme, "--estimator", estimator,
-                       "--response", "y", "--out-dir", os.path.join(tmp, f"std-{scheme}")])
+            rc, _ = _run(["standardize", path, "--scheme", scheme, "--estimator", estimator,
+                          "--response", "y", "--out-dir", os.path.join(tmp, f"std-{scheme}")])
             assert rc in (0, 2)

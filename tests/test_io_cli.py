@@ -14,7 +14,7 @@ from hereditas.errors import InvalidDimensionError
 from hereditas.io import atomic_write_text, from_json_fields, read_table, to_json
 from hereditas.selectors import LassoOptions, StepwiseOptions
 from hereditas.simulate import SettingConfig, build_truth, preset
-from hereditas.terms import canonical_terms
+from hereditas.terms import canonical_terms, expand
 
 
 def write_csv(path, header, rows):
@@ -41,7 +41,7 @@ def dataset_csv(tmp_path):
     truth = build_truth(preset("setting1"))
     n = 260
     x = rng.standard_normal((n, 10))
-    y = truth.signal(x) + rng.normal(0, 8.0, n)
+    y = expand(x, truth.terms) @ truth.coefficient_array() + rng.normal(0, 8.0, n)
     path = tmp_path / "data.csv"
     write_csv(path, [f"x{j}" for j in range(10)] + ["y"],
               np.column_stack([x, y]).tolist())
@@ -242,7 +242,8 @@ class TestSimulateCommand:
         assert doc["config"]["estimator"] == "median-iqr"
         assert doc["config"]["x_distribution"] == "lognormal-0-1"
         assert doc["cells"][0]["aggregates"]["msh"]["mean"] == 1.0
-        assert doc["snr"]["method"] == "monte-carlo"
+        assert doc["snr"]["method"] == "analytic"
+        assert doc["snr"]["flagged"]
 
 
 class TestFitCommand:
@@ -389,10 +390,10 @@ class TestFitCommand:
                                                            codes):
         # At 1e150 the second-order columns (~1e300) and their spreads are
         # representable though their squares are not; at 1e160 the raw-scale
-        # model's products overflow.  At 1e-152 the hierarchical back-transform
-        # divides by products of scales near 1e-152, so a raw-scale coefficient
-        # may overflow, and the regular scheme's ~1e-304 products have spreads
-        # whose squares underflow to zero.  A RuntimeWarning fails the suite.
+        # model's products overflow.  At 1e-152 the back-transforms divide by
+        # scales near 1e-152 (or products of them), so a raw-scale coefficient
+        # may overflow, and the regular scheme's ~1e-304 products keep their
+        # nonzero spreads.  A RuntimeWarning fails the suite.
         rng = np.random.default_rng(0)
         y = y_scale * rng.standard_normal(60)
         x = rng.standard_normal((60, 2)) * c
@@ -415,9 +416,8 @@ class TestFitCommand:
                             values = [float(row[1]) for row in list(csv.reader(fh))[1:]]
                         assert np.all(np.isfinite(values))
                     else:
-                        tiny_regular = c < 1 and scheme == "regular"
                         assert err.startswith("error: ")
-                        assert ("zero spread" if tiny_regular else "overflows") in err
+                        assert "overflows" in err
 
     def test_threads_flag_rejected(self, dataset_csv, tmp_path):
         # --threads runs simulate's replicate workers; fit has none to run.
@@ -572,6 +572,33 @@ class TestSelectorOptionFiles:
         assert rc == 2
         assert "unknown lasso options: ['tol']" in capsys.readouterr().err
 
+    def test_stepwise_cap_warns_that_the_fit_did_not_converge(self, tmp_path, capsys):
+        opts = tmp_path / "stepwise.json"
+        opts.write_text(json.dumps({"max_selected": 1}))
+        data = os.path.join(os.path.dirname(__file__), "data", "four_mains.csv")
+        rc = main(["fit", data, "--method", "stepwise", "--stepwise-options", str(opts),
+                   "--seed", "5", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: the fit did not converge: max_selected hid an improving stepwise addition\n")
+
+    def test_lasso_sweep_cap_warns_that_the_fit_did_not_converge(self, tmp_path, capsys):
+        # Correlated mains need more than one sweep at the chosen lambda.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((60, 1)) + 0.3 * rng.standard_normal((60, 4))
+        y = x.sum(axis=1) + x[:, 0] * x[:, 1] + rng.standard_normal(60)
+        path = tmp_path / "correlated.csv"
+        write_csv(path, ["a", "b", "c", "d", "y"], np.column_stack([x, y]).tolist())
+        args = ["fit", str(path), "--method", "lasso", "--seed", "5", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        opts = tmp_path / "lasso.json"
+        opts.write_text(json.dumps({"max_iter": 1}))
+        assert main(args + ["--lasso-options", str(opts)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: the fit did not converge: the lasso at the chosen lambda (index 67) "
+            "reached max_iter=1 sweeps\n")
+
     def test_unknown_option_field_exit_2(self, dataset_csv, tmp_path, capsys):
         opts = tmp_path / "lasso.json"
         opts.write_text(json.dumps({"bogus": 1}))
@@ -707,7 +734,6 @@ class TestStandardizeRoundTrip:
 
         from hereditas.selectors import lasso_fit
         from hereditas.standardize import HIER_STD, LocationScale, back_transform_hierarchical
-        from hereditas.terms import expand
 
         z = read_table(tmp_path / "m.hierarchical.standardized.csv")
         params = from_json_fields(

@@ -18,11 +18,18 @@ from hereditas.selectors import (
     lambda_path,
     lasso_fit,
     lasso_kkt_residual,
-    lasso_objective,
     ols_fit,
     tune_lasso,
 )
 from hereditas.standardize import RAW
+
+
+def lasso_objective(X, y, fit, lam, opts=None) -> float:
+    """(1/2n)RSS + lam*l1 evaluated on the internally standardized scale."""
+    prep = _prepare(X, y, (opts or LassoOptions()).internal_standardize)
+    b = fit.coefs.values * prep.x_scale
+    r = prep.yc - prep.XT.T @ b
+    return float(r @ r) / (2 * len(prep.yc)) + lam * float(np.sum(np.abs(b)))
 
 
 def random_problem(rng, n=40, m=6, snr=3.0):

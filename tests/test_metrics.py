@@ -4,7 +4,6 @@ import pytest
 from hereditas.errors import InvalidConfigError, InvalidDimensionError, UnsupportedDistributionError
 from hereditas.metrics import (
     LOGNORMAL01,
-    STANDARD_NORMAL,
     TruthSpec,
     aggregate,
     mse,
@@ -13,12 +12,11 @@ from hereditas.metrics import (
     sensitivity,
     sensitivity_by_class,
     snr,
-    snr_monte_carlo,
     specificity,
     specificity_by_class,
 )
-from hereditas.simulate import build_truth, preset
-from hereditas.terms import canonical_terms, inter, main, quad
+from hereditas.simulate import PRESETS, build_truth, preset
+from hereditas.terms import canonical_terms, expand, inter, main, quad
 
 TS10 = canonical_terms(10)
 
@@ -134,19 +132,28 @@ class TestSnr:
         assert snr(build_truth(preset("setting7"))).value == pytest.approx(25 / 64)
         assert snr(build_truth(preset("setting2"))).value == pytest.approx(39 / 256)
 
-    @pytest.mark.parametrize("name", [f"setting{i}" for i in range(1, 10)])
-    def test_analytic_matches_monte_carlo(self, name):
-        truth = build_truth(preset(name))
-        exact = snr(truth)
-        mc = snr_monte_carlo(truth, STANDARD_NORMAL, seed=5)
-        assert abs(mc.value - exact.value) <= 3 * mc.se
-
-    def test_lognormal_uses_monte_carlo(self):
-        truth = build_truth(preset("R1"))
-        est = snr(truth, LOGNORMAL01, seed=2)
-        assert est.method == "monte-carlo"
-        assert est.se is not None and est.se > 0
-        assert est.value > 0
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_gauss_hermite_quadrature(self, name):
+        # The signal is a degree-4 polynomial in the mains the truth uses:
+        # 3 Hermite nodes per standard-normal main integrate it exactly, and
+        # 30 nodes on Z integrate X = e^Z to rounding for lognormal mains.
+        cfg = preset(name)
+        truth = build_truth(cfg)
+        used = sorted({j for t in truth.active for j in t.parents()})
+        lognormal = cfg.x_distribution == LOGNORMAL01
+        z, w = np.polynomial.hermite_e.hermegauss(30 if lognormal else 3)
+        w = w / np.sqrt(2 * np.pi)
+        grid = np.meshgrid(*[z] * len(used), indexing="ij")
+        weight = np.prod(np.meshgrid(*[w] * len(used), indexing="ij"), axis=0).ravel()
+        x = np.zeros((weight.size, truth.terms.p))
+        x[:, used] = np.column_stack([g.ravel() for g in grid])
+        if lognormal:
+            x[:, used] = np.exp(x[:, used])
+        signal = expand(x, truth.terms) @ truth.coefficient_array()
+        mean = weight @ signal
+        var = weight @ (signal - mean) ** 2
+        assert snr(truth, cfg.x_distribution).value == pytest.approx(
+            var / truth.sigma**2, rel=1e-12, abs=0.0)
 
     def test_unsupported_distribution(self):
         with pytest.raises(UnsupportedDistributionError):
