@@ -7,8 +7,10 @@ their terms (a bug), 2 for any other usage, config or data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import shlex
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -187,7 +189,7 @@ def cmd_simulate(args) -> int:
     atomic_write_text(json_path, dump_json(to_json(report)))
     atomic_write_text(tsv_path, campaign_tsv(report))
     run_config = {"config": to_json(cfg), "cells": cells, **option_docs}
-    _write_manifest(args.out_dir, " ".join(sys.argv), run_config, cfg.master_seed,
+    _write_manifest(args.out_dir, args.command_line, run_config, cfg.master_seed,
                     started, [json_path, tsv_path], stem)
 
     print(snr_summary(report))
@@ -286,7 +288,7 @@ def cmd_fit(args) -> int:
         "method": args.method, "scheme": args.scheme, "estimator": args.estimator,
         **option_docs,
     }
-    _write_manifest(args.out_dir, " ".join(sys.argv), run_config,
+    _write_manifest(args.out_dir, args.command_line, run_config,
                     args.seed, started, [coef_path, json_path], stem)
 
     if not fit.converged:
@@ -321,7 +323,7 @@ def cmd_standardize(args) -> int:
     params_path = os.path.join(args.out_dir, f"{stem}.params.json")
     write_matrix_csv(matrix_path, terms.labels(), z)
     atomic_write_text(params_path, dump_json(to_json(params)))
-    _write_manifest(args.out_dir, " ".join(sys.argv),
+    _write_manifest(args.out_dir, args.command_line,
                     {"data": file_sha256(args.data), "scheme": args.scheme,
                      "estimator": args.estimator,
                      "response": args.response}, None, started,
@@ -368,14 +370,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.command_line = shlex.join(["hereditas", *argv])  # what the manifest records
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # package errors, malformed JSON, missing paths
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InconsistentParamsError) else 2
 
+
+# What importing this module built (numpy's and the package's modules and
+# their objects) lives until exit.  Freezing it moves those objects out of the
+# collector's reach, so the interpreter's collection at exit no longer walks
+# them: that walk was most of a short command's time from its work's end to exit.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,12 +6,18 @@ takes an exact step toward the minimizer of the objective on the current
 sign pattern (Osborne, Presnell & Turlach 2000): once on entry from a
 nonzero warm start, and after every full sweep that left ``sign(b)``
 unchanged.  With s the signs of the active set A, the step solves
-``G_AA d = X_A' r / n - lam * s_A`` by a Cholesky factorization of the Gram
-block, gathered from the precomputed ``G = X'X / n`` (the "covariance
-updates" of Friedman, Hastie & Tibshirani 2010).  On that face the
-objective is the convex quadratic the step minimizes, so moving toward its
-minimizer cannot raise the objective.  A lambda that fails the check gets
-one full coordinate-descent sweep, and the loop repeats.
+``G_AA d = X_A' r / n - lam * s_A`` with the Gram block gathered from the
+precomputed ``G = X'X / n`` (the "covariance updates" of Friedman, Hastie &
+Tibshirani 2010).  On that face the objective is the convex quadratic the
+step minimizes, so moving toward its minimizer cannot raise the objective.
+A lambda that fails the check gets one full coordinate-descent sweep, and
+the loop repeats.
+
+The block depends only on the active set, so it is factored once per active
+set along a path: a ``Face`` owned by the caller keeps the last active set's
+rank test and the inverse of its kept block, and a step on the same active
+set (the next lambda mostly starts on the face where the last one ended) is
+a matrix-vector product.
 
 The guards:
 
@@ -46,7 +52,20 @@ KERNEL = "python"
 RANK_TOL = 1e-10
 
 
-def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram):
+class Face:
+    """The last active set of one lasso path and its factored Gram block.
+
+    Valid only with the one ``gram`` it was filled from; a path creates one
+    and passes it to every ``cd_solve`` call.  ``free`` and ``held`` split
+    ``active`` by the rank test, and ``inv`` is the inverse of ``G_FF``.
+    """
+
+    def __init__(self):
+        self.active = self.free = self.held = np.empty(0, dtype=np.intp)
+        self.inv = np.empty((0, 0))
+
+
+def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram, face):
     """Coordinate descent on (1/2n)||r||^2 + lam*||b||_1 with exact active-set steps.
 
     Parameters
@@ -60,6 +79,8 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram):
     max_sweeps : hard cap on full sweeps.
     gram : (m, m) array XT @ XT.T / n, the Gram block source of the exact
         active-set step.
+    face : the ``Face`` of this path's ``gram``; the exact step reads and
+        refills it, so one factorization serves every step on an active set.
 
     Returns
     -------
@@ -73,7 +94,7 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram):
     stable = signs.any()
     while True:
         if stable:
-            _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol)
+            _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol, face)
         if max(kkt_violations(XT @ r * inv_n, b, col_nrm2, lam)) <= kkt_tol:
             return sweeps, True
         if sweeps == max_sweeps:
@@ -125,33 +146,38 @@ def pivoted_cholesky(g):
     return piv, piv[:0]
 
 
-def _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol):
+def _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol, face):
     """Move b toward the minimizer on the face sign(b) == signs.
 
     When the active Gram block passes the rank test every active column is
     free; otherwise a pivoted Cholesky keeps the columns whose pivot ratio
-    stays above RANK_TOL (the free set F) and holds the others fixed.  b
-    moves to F's exact solution, or, if that flips a sign, as far as the
-    first coefficient it zeroes.  After a full move, the first held column k
-    moves along e_k - G_FF^-1 G_Fk to the objective's minimum on that line
-    or to the first coefficient it zeroes.  The objective is convex on every
-    segment taken and falls along it, so no move can raise it.
+    stays above RANK_TOL (the free set F) and holds the others fixed.  The
+    split and the inverse of G_FF are computed once per active set along a
+    path and kept in ``face``.  b moves to F's exact solution, or, if that
+    flips a sign, as far as the first coefficient it zeroes.  After a full
+    move, the first held column k moves along e_k - G_FF^-1 G_Fk to the
+    objective's minimum on that line or to the first coefficient it zeroes.
+    The objective is convex on every segment taken and falls along it, so no
+    move can raise it.
     """
     active = np.flatnonzero(signs)
-    g_ff = gram[np.ix_(active, active)]
-    free, held = active, active[:0]
-    if cholesky(g_ff)[1] <= RANK_TOL:
-        keep, drop = pivoted_cholesky(g_ff)
-        free, held = active[keep], active[drop]
-        g_ff = g_ff[np.ix_(keep, keep)]
+    if not np.array_equal(active, face.active):
+        g_ff = gram[np.ix_(active, active)]
+        free, held = active, active[:0]
+        if cholesky(g_ff)[1] <= RANK_TOL:
+            keep, drop = pivoted_cholesky(g_ff)
+            free, held = active[keep], active[drop]
+            g_ff = g_ff[np.ix_(keep, keep)]
+        face.active, face.free, face.held, face.inv = active, free, held, np.linalg.inv(g_ff)
+    free, held = face.free, face.held
     step = np.zeros(len(b))
-    step[free] = np.linalg.solve(g_ff, (XT @ r)[free] * inv_n - lam * signs[free])
+    step[free] = face.inv @ ((XT @ r)[free] * inv_n - lam * signs[free])
     zeroed = _move(XT, r, b, step, 1.0, lam)
     if zeroed or not held.size:
         return
     k = held[0]
     line = np.zeros(len(b))
-    line[free] = -np.linalg.solve(g_ff, gram[free, k])
+    line[free] = -(face.inv @ gram[free, k])
     line[k] = 1.0
     fit_line = line @ XT
     # On the line the objective is -slope * t + curv * t^2 / 2, both taken

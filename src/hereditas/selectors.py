@@ -203,10 +203,11 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
     r = prep.yc.copy()
     if terms is None:
         terms = _default_terms(len(b))
+    face = kernels.Face()
     fits = []
     for lam in lambdas:
         sweeps, converged = kernels.cd_solve(
-            prep.XT, r, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, gram
+            prep.XT, r, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, gram, face
         )
         fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, terms, scale_tag))
     return lambdas, fits

@@ -8,7 +8,6 @@ every method cell consumes the identical datasets.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -371,6 +370,9 @@ def run_campaign(cfg: SettingConfig, cells=DEFAULT_CELLS, threads: int = 1,
     cells = tuple(cells)
     tasks = [(cfg, cells, lasso_opts, stepwise_opts, rep) for rep in range(cfg.replicates)]
     if threads > 1 and cfg.replicates > 1:
+        # Imported here: a single-process run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, cfg.replicates)) as pool:
             per_rep = list(pool.map(_replicate_worker, tasks))
     else:

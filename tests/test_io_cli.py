@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -157,6 +158,47 @@ def test_cli_import_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "['hereditas']"
+
+
+def test_cli_import_leaves_the_pool_unloaded_and_freezes_the_heap():
+    # A single-process run never loads the process pool, and the objects the
+    # import made are frozen, so the collection at exit skips them.
+    code = ("import gc, sys\n"
+            "from hereditas.cli import main\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)),"
+            " gc.get_freeze_count() > 0)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hereditas.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[] True"
+
+
+ENTRY = "import sys; from hereditas.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("method,scheme", [("lasso", "regular"), ("stepwise", "hierarchical")])
+def test_fit_in_a_fresh_interpreter_matches_golden_file(tmp_path, method, scheme):
+    # The path a user's command takes, exit included: main returns, then the
+    # interpreter exits with the import's objects frozen.
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "four_mains.fit.json")) as fh:
+        golden = json.load(fh)[f"{method}/{scheme}"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hereditas.__file__))}
+    done = subprocess.run([sys.executable, "-c", ENTRY, "fit",
+                           os.path.join(data, "four_mains.csv"), "--method", method,
+                           "--scheme", scheme, "--seed", "5", "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == golden["stdout"]
+    stem = f"four_mains.{method}.{scheme}"
+    fit = json.loads((tmp_path / f"{stem}.fit.json").read_text())
+    assert fit["method"] == method and fit["scheme"] == scheme
+    with open(tmp_path / f"{stem}.coefficients.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["term", "value", "scale"] and len(rows) > 1
+    assert all(np.isfinite(float(value)) for _, value, _ in rows[1:])
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+    assert shlex.split(manifest["command"])[:2] == ["hereditas", "fit"]
 
 
 class TestSimulateCommand:
@@ -717,6 +759,23 @@ class TestManifestHash:
             (manifest,) = (tmp_path / out).glob("*.manifest.json")
             hashes.append(json.loads(manifest.read_text())["config_hash"])
         assert hashes[0] != hashes[1]
+
+
+class TestManifestCommand:
+    @pytest.mark.parametrize("command", [
+        SIM_ONE + ["--methods", "stepwise", "--schemes", "regular"],
+        ["fit", "data.csv", "--method", "stepwise", "--seed", "2"],
+    ], ids=["simulate", "fit"])
+    def test_records_the_command_main_parsed(self, dataset_csv, tmp_path, monkeypatch,
+                                             command):
+        # Not the host's argv: here that is pytest's.
+        monkeypatch.chdir(tmp_path)
+        argv = command + ["--out-dir", "out dir"]
+        assert main(argv) == 0
+        (manifest,) = (tmp_path / "out dir").glob("*.manifest.json")
+        recorded = json.loads(manifest.read_text())["command"]
+        assert recorded == shlex.join(["hereditas", *argv])
+        assert shlex.split(recorded) == ["hereditas", *argv]
 
 
 class TestStandardizeRoundTrip:

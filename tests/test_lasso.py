@@ -412,6 +412,26 @@ class TestKernelSeam:
             assert (sweeps, converged) == (fit.iterations, fit.converged)
 
 
+class TestFaceReuse:
+    def test_one_factorization_per_active_set(self, monkeypatch):
+        # The path of test_sweep_count_on_a_gaussian_path: the next lambda
+        # mostly starts on the face where the last one ended.
+        rng = np.random.default_rng(50)
+        X = rng.standard_normal((200, 65))
+        y = X[:, :10] @ rng.standard_normal(10) + 2.0 * rng.standard_normal(200)
+        factored, faces = [], []
+        cholesky, step = kernels.cholesky, kernels._exact_step
+        monkeypatch.setattr(kernels, "cholesky",
+                            lambda *a: (factored.append(1), cholesky(*a))[1])
+        monkeypatch.setattr(kernels, "_exact_step",
+                            lambda *a: (faces.append(np.flatnonzero(a[3])), step(*a))[1])
+        _, fits = fit_lasso_path(X, y, LassoOptions())
+        assert all(f.converged for f in fits)
+        changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(faces, faces[1:]))
+        assert len(factored) == changes
+        assert 0 < changes < len(faces) / 2
+
+
 class TestDefaultTerms:
     def test_path_builds_one_default_term_set(self, monkeypatch):
         calls = []
