@@ -294,7 +294,7 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         if tuned is not None:
             why = (f"the lasso at the chosen lambda (index {tuned.best_index}) reached "
-                   f"max_iter={(lasso_opts or LassoOptions()).max_iter} sweeps")
+                   f"max_iter={(lasso_opts or LassoOptions()).max_iter} passes")
         else:
             why = "max_selected hid an improving stepwise addition"
         print(f"warning: the fit did not converge: {why}", file=sys.stderr)

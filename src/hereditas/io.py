@@ -103,41 +103,64 @@ class TabularFile:
 
 
 def read_table(path) -> TabularFile:
+    """The table at ``path``: a csv-parsed header of unique names, then the
+    values, parsed by numpy's ``loadtxt``.  A body that numpy rejects, or
+    that holds a non-finite value or a row of the wrong width, is read again
+    row by row with ``csv`` only to name the first bad cell; blank lines are
+    skipped."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidDimensionError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise InvalidDimensionError(f"{path}: duplicate column names in header")
+    body = lines[reader.line_num:]
+    data, rejected = None, None
+    # On a body of blank lines numpy would warn that it read no data.
+    if any(line.strip("\r\n") for line in body):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidDimensionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise InvalidDimensionError(f"{path}: duplicate column names in header")
-        linenos, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvalidDimensionError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                name, cell = next((n, c) for n, c in zip(header, row) if not _is_number(c))
-                raise InvalidDimensionError(
-                    f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
-                ) from None
-            linenos.append(lineno)
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, quotechar='"')
+        except ValueError as err:
+            rejected = err
+    if data is None or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
+        _name_bad_cell(path, header, body, rejected)
+    return TabularFile(tuple(header), data)
+
+
+def _name_bad_cell(path, header: list[str], body: list[str], rejected) -> None:
+    """Raise InvalidDimensionError naming the first bad cell of ``body``, the
+    lines after the header, numbered from 2: a row of the wrong width or a
+    non-numeric cell, else a non-finite value.  ``rejected`` is numpy's
+    error, reported when csv finds no cell at fault."""
+    linenos, rows = [], []
+    for lineno, row in enumerate(csv.reader(body), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InvalidDimensionError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            name, cell = next((n, c) for n, c in zip(header, row) if not _is_number(c))
+            raise InvalidDimensionError(
+                f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
+            ) from None
+        linenos.append(lineno)
     if not rows:
         raise InvalidDimensionError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(data))
+    bad = np.argwhere(~np.isfinite(np.asarray(rows, dtype=np.float64)))
     if bad.size:
         i, j = bad[0]
         raise InvalidDimensionError(
             f"{path}: row {linenos[i]}, column {header[j]!r}: non-finite value"
         )
-    return TabularFile(tuple(header), data)
+    raise InvalidDimensionError(f"{path}: {rejected}")
 
 
 def _is_number(cell: str) -> bool:

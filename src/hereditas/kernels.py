@@ -1,38 +1,55 @@
-"""The lasso kernel: cyclic coordinate descent with exact active-set steps, in numpy.
+"""The lasso kernel, in numpy: exact working-set steps in Gram space, with a
+coordinate-descent sweep as the fallback.
 
 ``cd_solve`` has one certificate: the KKT conditions within ``kkt_tol``,
-checked for every column with one product ``XT @ r``.  Before each check it
-takes an exact step toward the minimizer of the objective on the current
-sign pattern (Osborne, Presnell & Turlach 2000): once on entry from a
-nonzero warm start, and after every full sweep that left ``sign(b)``
-unchanged.  With s the signs of the active set A, the step solves
-``G_AA d = X_A' r / n - lam * s_A`` with the Gram block gathered from the
-precomputed ``G = X'X / n`` (the "covariance updates" of Friedman, Hastie &
-Tibshirani 2010).  On that face the objective is the convex quadratic the
-step minimizes, so moving toward its minimizer cannot raise the objective.
-A lambda that fails the check gets one full coordinate-descent sweep, and
-the loop repeats.
+checked for every column on the gradient ``g = X'r/n``.  That gradient is
+read from the precomputed Gram ``G = X'X/n`` (the "covariance updates" of
+Friedman, Hastie & Tibshirani 2010): on entry ``g0 = X'r/n`` is taken once,
+every later gradient is ``g0 - G (b - b0)``, and the residual is brought up
+to date once, on exit.  No pass does length-n work, except the move along a
+held column's line (below), whose curvature is read from the data.
 
-The block depends only on the active set, so it is factored once per active
-set along a path: a ``Face`` owned by the caller keeps the last active set's
-rank test and the inverse of its kept block, and a step on the same active
-set (the next lambda mostly starts on the face where the last one ended) is
-a matrix-vector product.
+Each pass is one exact step or one sweep, and ``max_iter`` caps passes.  A
+step moves b toward the minimizer of the objective on the face of a sign
+vector s (Osborne, Presnell & Turlach 2000): with A the columns where s is
+nonzero, it solves ``G_AA d = g_A - lam * s_A``.  On that face the objective
+is the convex quadratic the step minimizes, so moving toward its minimizer
+cannot raise the objective.  After each step (feature-sign search; Lee,
+Battle, Raina & Ng 2007):
+
+- a step that stopped at a zeroed coefficient is followed by a step on the
+  face without it;
+- a step that reached its face's minimizer, with only inactive columns
+  violating the KKT conditions, is followed by a step on the face where the
+  largest violator joins with the sign of its gradient.  With the face
+  solved, the Schur complement moves that column with that sign.
+
+A sweep runs only when a column is held (below), when ``lam == 0``, or when
+a step did not solve its face; the step after it waits for a sweep that
+leaves the signs unchanged.
+
+The inverse of the working set's Gram block lives in a ``Face`` owned by the
+caller, one per path, and follows the working set in O(k^2): a joining
+column borders it, and a leaving one is a rank-one downdate.  A joining
+column's Schur complement ``s = G_jj - u' G_AA^-1 u`` over ``G_jj`` is its
+pivot ratio, so it is the column's rank test.  The block is factored again
+(``cholesky``, then ``pivoted_cholesky`` if that fails, then ``inv``) when
+more than one column changed, when a joining column fails the rank test, or
+when a full step still leaves an active violation, which means the updated
+inverse has drifted.
 
 The guards:
 
-- On a block that fails the rank test (``cholesky``), a column whose pivoted
-  ratio ``L_kk^2 / G_kk`` is at or below ``RANK_TOL`` (a duplicated column,
-  an active set wider than n) is held fixed, and the others are solved for.
+- On a block that fails the rank test, a column whose pivoted ratio
+  ``L_kk^2 / G_kk`` is at or below ``RANK_TOL`` (a duplicated column, an
+  active set wider than n) is held fixed, and the others are solved for.
 - A step that would flip a sign stops at the first coefficient it zeroes
   (at lam = 0 the objective has no kinks, and it does not stop).
-- After a full step, one held column moves along the direction that its
-  collapsed pivot exposes, which the fit barely sees.  It moves to the
-  objective's minimum on that line, or to the first coefficient it zeroes.
-  Plain descent only creeps along such a direction, as on a near-copy pair.
-
-On a warm-started path the step from the previous solution certifies most
-lambdas with no sweep at all; the rest need one or two.
+- After a full step, the held column with the largest KKT residual moves
+  along the direction that its collapsed pivot exposes, which the fit
+  barely sees.  It moves to the objective's minimum on that line, or to the
+  first coefficient it zeroes.  Plain descent only creeps along such a
+  direction, as on a near-copy pair.
 
 ``selectors`` looks ``cd_solve`` up on this module at call time
 (``kernels.cd_solve``) and passes its arguments by position, so a wrapper
@@ -53,20 +70,75 @@ RANK_TOL = 1e-10
 
 
 class Face:
-    """The last active set of one lasso path and its factored Gram block.
+    """The working set of one lasso path and the inverse of its Gram block.
 
     Valid only with the one ``gram`` it was filled from; a path creates one
     and passes it to every ``cd_solve`` call.  ``free`` and ``held`` split
-    ``active`` by the rank test, and ``inv`` is the inverse of ``G_FF``.
+    the working set by the rank test, ``inv`` is the inverse of ``G_FF`` in
+    the order of ``free``, and ``fresh`` says that ``inv`` was computed from
+    its block rather than updated.
     """
 
     def __init__(self):
-        self.active = self.free = self.held = np.empty(0, dtype=np.intp)
+        self.free = self.held = np.empty(0, dtype=np.intp)
         self.inv = np.empty((0, 0))
+        self.fresh = True
+
+    def fit(self, gram, signs):
+        """Make this the face of the nonzero entries of ``signs``: border or
+        downdate ``inv`` when one column changed, else factor again."""
+        was = np.zeros(len(signs), dtype=bool)
+        was[self.free] = was[self.held] = True
+        now = signs != 0.0
+        joined, left = np.flatnonzero(now & ~was), np.flatnonzero(was & ~now)
+        changed = len(joined) + len(left)
+        if changed == 0:
+            return
+        if changed == 1 and not self.held.size:
+            if left.size:
+                self._downdate(int(np.flatnonzero(self.free == left[0])[0]))
+                return
+            if self._border(gram, int(joined[0])):
+                return
+        self.factor(gram, np.flatnonzero(now))
+
+    def factor(self, gram, active):
+        """Split ``active`` by the rank test and invert its kept block."""
+        g_ff = gram[np.ix_(active, active)]
+        free, held = active, active[:0]
+        if active.size and cholesky(g_ff)[1] <= RANK_TOL:
+            keep, drop = pivoted_cholesky(g_ff)
+            free, held = active[keep], active[drop]
+            g_ff = g_ff[np.ix_(keep, keep)]
+        self.free, self.held, self.inv, self.fresh = free, held, np.linalg.inv(g_ff), True
+
+    def _border(self, gram, j):
+        """Append column j to ``free``; False, with nothing changed, when its
+        pivot ratio s / G_jj is at or below RANK_TOL."""
+        u = gram[self.free, j]
+        v = self.inv @ u
+        s = gram[j, j] - u @ v
+        if not s > RANK_TOL * gram[j, j]:
+            return False
+        k = len(self.free)
+        inv = np.empty((k + 1, k + 1))
+        inv[:k, :k] = self.inv + np.multiply.outer(v, v / s)
+        inv[:k, k] = inv[k, :k] = -v / s
+        inv[k, k] = 1.0 / s
+        self.free, self.inv, self.fresh = np.append(self.free, j), inv, False
+        return True
+
+    def _downdate(self, p):
+        """Remove the column at position p of ``free``."""
+        keep = np.arange(len(self.free)) != p
+        e = self.inv[keep, p]
+        self.inv = self.inv[keep][:, keep] - np.multiply.outer(e, e / self.inv[p, p])
+        self.free, self.fresh = self.free[keep], False
 
 
-def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram, face):
-    """Coordinate descent on (1/2n)||r||^2 + lam*||b||_1 with exact active-set steps.
+def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
+    """Minimize (1/2n)||r||^2 + lam*||b||_1 by exact working-set steps, with
+    coordinate-descent sweeps as the fallback.
 
     Parameters
     ----------
@@ -76,42 +148,69 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_sweeps, gram, face):
     col_nrm2 : (m,) column norms <x_j, x_j>/n; entries <= 0 mark inert
         columns that are skipped (their coefficient stays put).
     lam, kkt_tol : penalty, and the slack allowed in the KKT certificate.
-    max_sweeps : hard cap on full sweeps.
-    gram : (m, m) array XT @ XT.T / n, the Gram block source of the exact
-        active-set step.
+    max_iter : hard cap on passes; an exact step or a sweep is one pass.
+    gram : (m, m) array XT @ XT.T / n, the source of every gradient and of
+        the working set's block.
     face : the ``Face`` of this path's ``gram``; the exact step reads and
-        refills it, so one factorization serves every step on an active set.
+        updates it.
 
     Returns
     -------
-    (sweeps, converged) : full sweeps run (0 when the step from the warm
-    start is certified), and whether the KKT check passed.
+    (passes, converged) : passes run (0 when the warm start is certified),
+    and whether the KKT check passed.
     """
-    m, n = XT.shape
-    inv_n = 1.0 / n
-    sweeps = 0
+    g0 = XT @ r * (1.0 / XT.shape[1])
+    b0 = b.copy()
+    g = g0.copy()
     signs = np.sign(b)
-    stable = signs.any()
+    # The next pass steps on the face of signs, else it sweeps; solved says
+    # that b minimizes the objective on that face (b = 0 on the empty face).
+    step = bool(signs.any())
+    solved = not step
+    passes = 0
     while True:
-        if stable:
-            _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol, face)
-        if max(kkt_violations(XT @ r * inv_n, b, col_nrm2, lam)) <= kkt_tol:
-            return sweeps, True
-        if sweeps == max_sweeps:
-            return sweeps, False
-        sweeps += 1
-        signs = np.sign(b)
-        for j in range(m):
-            vj = col_nrm2[j]
-            if vj <= 0.0:
-                continue
-            z = np.dot(XT[j], r) * inv_n + vj * b[j]
-            b_new = (z - lam if z > lam else z + lam if z < -lam else 0.0) / vj
-            d = b_new - b[j]
-            if d != 0.0:
-                r -= d * XT[j]
-                b[j] = b_new
-        stable = signs.any() and np.array_equal(np.sign(b), signs)
+        active, inactive = kkt_violations(g, b, col_nrm2, lam)
+        converged = max(active, inactive) <= kkt_tol
+        if converged or passes == max_iter:
+            break
+        passes += 1
+        if solved:
+            step = True
+            if lam > 0.0 and active <= kkt_tol:
+                j = int(np.argmax(np.where((col_nrm2 > 0.0) & (b == 0.0), np.abs(g), -np.inf)))
+                signs[j] = np.sign(g[j])
+            elif active > kkt_tol and not face.fresh:
+                face.factor(gram, np.flatnonzero(signs))  # the updated inverse drifted
+            else:
+                step = False
+        if step:
+            zeroed, solved = _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face)
+            if zeroed:
+                signs = np.sign(b)
+            step = zeroed
+        else:
+            _sweep(g, b, col_nrm2, lam, gram)
+            new = np.sign(b)
+            step = bool(new.any()) and np.array_equal(new, signs)
+            signs, solved = new, False
+        g = g0 - gram @ (b - b0)
+    r -= (b - b0) @ XT
+    return passes, converged
+
+
+def _sweep(g, b, col_nrm2, lam, gram):
+    """One cyclic coordinate-descent pass over the live columns, keeping the
+    gradient g current with g -= d * G_j."""
+    for j in range(len(b)):
+        vj = col_nrm2[j]
+        if vj <= 0.0:
+            continue
+        z = g[j] + vj * b[j]
+        b_new = (z - lam if z > lam else z + lam if z < -lam else 0.0) / vj
+        d = b_new - b[j]
+        if d != 0.0:
+            g -= d * gram[j]
+            b[j] = b_new
 
 
 def cholesky(g, k=None):
@@ -146,68 +245,71 @@ def pivoted_cholesky(g):
     return piv, piv[:0]
 
 
-def _exact_step(XT, r, b, signs, lam, inv_n, gram, kkt_tol, face):
-    """Move b toward the minimizer on the face sign(b) == signs.
+def _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face):
+    """Move b toward the minimizer on the face of ``signs``, given the
+    gradient g = X'r/n at b.
 
-    When the active Gram block passes the rank test every active column is
-    free; otherwise a pivoted Cholesky keeps the columns whose pivot ratio
-    stays above RANK_TOL (the free set F) and holds the others fixed.  The
-    split and the inverse of G_FF are computed once per active set along a
-    path and kept in ``face``.  b moves to F's exact solution, or, if that
-    flips a sign, as far as the first coefficient it zeroes.  After a full
-    move, the first held column k moves along e_k - G_FF^-1 G_Fk to the
-    objective's minimum on that line or to the first coefficient it zeroes.
-    The objective is convex on every segment taken and falls along it, so no
-    move can raise it.
+    ``face`` is brought to the nonzero entries of ``signs`` and gives the
+    free columns F and the inverse of G_FF.  b moves to F's exact solution,
+    or, if that flips a sign, as far as the first coefficient it zeroes.
+    After a full move, the held column k with the largest KKT residual moves
+    along e_k - G_FF^-1 G_Fk to the objective's minimum on that line or to
+    the first coefficient it zeroes.  The objective is convex on every segment
+    taken and falls along it, so no move can raise it.
+
+    Returns (zeroed, solved): whether the step stopped at a zeroed
+    coefficient, and whether it reached the face's minimizer.  It does not
+    move, and returns neither, when a joining column (zero in b) would
+    move against its sign.
     """
-    active = np.flatnonzero(signs)
-    if not np.array_equal(active, face.active):
-        g_ff = gram[np.ix_(active, active)]
-        free, held = active, active[:0]
-        if cholesky(g_ff)[1] <= RANK_TOL:
-            keep, drop = pivoted_cholesky(g_ff)
-            free, held = active[keep], active[drop]
-            g_ff = g_ff[np.ix_(keep, keep)]
-        face.active, face.free, face.held, face.inv = active, free, held, np.linalg.inv(g_ff)
+    face.fit(gram, signs)
     free, held = face.free, face.held
     step = np.zeros(len(b))
-    step[free] = face.inv @ ((XT @ r)[free] * inv_n - lam * signs[free])
-    zeroed = _move(XT, r, b, step, 1.0, lam)
-    if zeroed or not held.size:
-        return
-    k = held[0]
-    line = np.zeros(len(b))
-    line[free] = -(face.inv @ gram[free, k])
-    line[k] = 1.0
+    step[free] = face.inv @ (g[free] - lam * signs[free])
+    if np.any((b == 0.0) & (step * signs < 0.0)):
+        return False, False
+    if _move(b, step, 1.0, lam):
+        return True, False
+    if not held.size:
+        return False, True
+    # Each held column k has the line e_k - G_FF^-1 G_Fk, along which F stays
+    # solved; with F solved, its slope is column k's KKT residual.
+    lines = np.zeros((len(b), len(held)))
+    lines[free] = -(face.inv @ gram[np.ix_(free, held)])
+    lines[held, np.arange(len(held))] = 1.0
+    slopes = (g - gram @ step) @ lines - lam * (signs @ lines)
+    i = int(np.argmax(np.abs(slopes)))
+    line, slope = lines[:, i], slopes[i]
+    if b[held[i]] == 0.0 or not abs(slope) > kkt_tol:
+        return False, False
+    # On the line the objective is -slope * t + curv * t^2 / 2.  The
+    # curvature is taken from the data: the Gram's Schur complement
+    # G_kk - G_kF w is here mostly cancellation.
     fit_line = line @ XT
-    # On the line the objective is -slope * t + curv * t^2 / 2, both taken
-    # from the data: the Gram's Schur complement G_kk - G_kF w is here mostly
-    # cancellation.  With F solved, slope is column k's KKT residual.
-    slope = fit_line @ r * inv_n - lam * (signs @ line)
-    curv = fit_line @ fit_line * inv_n
-    if abs(slope) > kkt_tol:
-        _move(XT, r, b, np.sign(slope) * line, abs(slope) / curv if curv > 0.0 else np.inf, lam)
+    curv = fit_line @ fit_line / XT.shape[1]
+    _move(b, np.sign(slope) * line, abs(slope) / curv if curv > 0.0 else np.inf, lam)
+    return False, False
 
 
-def _move(XT, r, b, step, t_max, lam):
+def _move(b, step, t_max, lam):
     """b += t * step for the largest t <= t_max before a coefficient changes
     sign; one that reaches zero is set to exactly zero.  Returns whether one did.
     With lam == 0 the objective has no kinks, and a sign may change."""
-    reach = np.full(len(b), np.inf)
+    t, edge = t_max, None
     if lam > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(step * b < 0.0, -b / step, np.inf)
-    edge = int(np.argmin(reach))
-    t = min(t_max, reach[edge])
+        shrink = np.flatnonzero(step * b < 0.0)
+        if shrink.size:
+            reach = -b[shrink] / step[shrink]
+            i = int(np.argmin(reach))
+            if reach[i] <= t_max:
+                t, edge = reach[i], shrink[i]
     if not np.isfinite(t):
         return False
     step = t * step
-    zeroed = t == reach[edge]
-    if zeroed:
+    if edge is not None:
         step[edge] = -b[edge]
     b += step
-    r -= step @ XT
-    return zeroed
+    return edge is not None
 
 
 def kkt_violations(g, b, col_nrm2, lam):

@@ -86,7 +86,7 @@ class FitResult:
 
     coefs: CoefficientVector
     tuning: float  # chosen lambda (lasso) or final AIC (stepwise)
-    iterations: int  # full CD sweeps (0 when the exact step certified) or stepwise moves
+    iterations: int  # lasso kernel passes (exact steps and sweeps) or stepwise moves
     converged: bool
     aic_path: tuple[float, ...] = field(default=())  # stepwise audit trail
     start: str | None = None  # the stepwise starting model, "full" or "null"
@@ -157,11 +157,11 @@ def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
     return gram, max(KKT_SLACK, ROUNDING_ULPS * np.finfo(float).eps * scale)
 
 
-def _finish(prep, b, lam, sweeps, converged, terms, scale_tag) -> FitResult:
+def _finish(prep, b, lam, passes, converged, terms, scale_tag) -> FitResult:
     slopes = b / prep.x_scale  # exact zeros stay exact
     intercept = prep.y_mean - float(slopes @ prep.x_mean)
     coefs = CoefficientVector(terms, intercept, slopes, scale_tag)
-    return FitResult(coefs, tuning=lam, iterations=sweeps, converged=converged)
+    return FitResult(coefs, tuning=lam, iterations=passes, converged=converged)
 
 
 def lasso_fit(X, y, lam, opts: LassoOptions | None = None, terms: TermSet | None = None,
@@ -206,10 +206,10 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
     face = kernels.Face()
     fits = []
     for lam in lambdas:
-        sweeps, converged = kernels.cd_solve(
+        passes, converged = kernels.cd_solve(
             prep.XT, r, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, gram, face
         )
-        fits.append(_finish(prep, b.copy(), float(lam), sweeps, converged, terms, scale_tag))
+        fits.append(_finish(prep, b.copy(), float(lam), passes, converged, terms, scale_tag))
     return lambdas, fits
 
 
@@ -331,16 +331,24 @@ class _SweepScreen:
     column j carries s_j = G_jj - G_jA G_AA^-1 G_Aj on the diagonal and
     c_j - G_jA b on the border.  Deleting j in A raises the RSS by
     b_j^2 / (G_AA^-1)_jj; adding j outside A lowers it by
-    (c_j - G_jA b)^2 / s_j.  The screen is built by sweeping the intercept,
-    then each column of A in order, with the one rank-one sweep that an
-    accepted move applies to its column.
+    (c_j - G_jA b)^2 / s_j.  The screen is built in one block, the result of
+    sweeping the intercept and the columns of A: with K those rows and R the
+    others, S_KK = -G_KK^-1, S_KR = G_KK^-1 G_KR and
+    S_RR = G_RR - G_RK G_KK^-1 G_KR.  An accepted move applies one rank-one
+    sweep to its column.
     """
 
     def __init__(self, search: _GramSearch, cols: tuple[int, ...], ratio: float):
-        self.S = search.bordered.copy()
+        G = search.bordered
+        k = np.array((-1, *cols), dtype=np.intp) + 1
+        inv = np.linalg.inv(G[np.ix_(k, k)])
+        cross = inv @ G[k]
+        self.S = G - G[:, k] @ cross
+        self.S[k] = cross
+        self.S[:, k] = cross.T
+        self.S[np.ix_(k, k)] = -inv
         self.swept = np.zeros(search.m + 1, dtype=bool)
-        for j in (-1, *cols):
-            self._sweep(j + 1)
+        self.swept[k] = True
         self.diag = search.bordered.diagonal()[:-1]
         self.sd = np.sqrt(self.diag)
         self.search = search

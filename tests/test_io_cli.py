@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,31 @@ class TestReadTable:
         write_csv(path, ["a", "b"], [[1, 2], [3, 4], [5, cell]])
         with pytest.raises(InvalidDimensionError, match="row 4, column 'b': non-finite value"):
             read_table(path)
+
+    def test_hash_is_a_cell_not_a_comment(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n3,#\n")
+        with pytest.raises(InvalidDimensionError, match="row 3, column 'b': non-numeric cell '#'"):
+            read_table(path)
+
+    def test_quoted_number_is_read(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('a,b\n1,"2.5"\n')
+        np.testing.assert_array_equal(read_table(path).data, [[1.0, 2.5]])
+
+    def test_whitespace_only_line_is_a_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n   \n3,4\n")
+        with pytest.raises(InvalidDimensionError, match="row 3 has 1 cells, expected 2"):
+            read_table(path)
+
+    def test_header_only_file_has_no_data_rows_and_no_warning(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDimensionError, match="no data rows"):
+                read_table(path)
 
 
 @dataclass(frozen=True)
@@ -625,7 +651,7 @@ class TestSelectorOptionFiles:
             "warning: the fit did not converge: max_selected hid an improving stepwise addition\n")
 
     def test_lasso_sweep_cap_warns_that_the_fit_did_not_converge(self, tmp_path, capsys):
-        # Correlated mains need more than one sweep at the chosen lambda.
+        # Correlated mains need more than one kernel pass at the chosen lambda.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((60, 1)) + 0.3 * rng.standard_normal((60, 4))
         y = x.sum(axis=1) + x[:, 0] * x[:, 1] + rng.standard_normal(60)
@@ -638,8 +664,8 @@ class TestSelectorOptionFiles:
         opts.write_text(json.dumps({"max_iter": 1}))
         assert main(args + ["--lasso-options", str(opts)]) == 0
         assert capsys.readouterr().err == (
-            "warning: the fit did not converge: the lasso at the chosen lambda (index 67) "
-            "reached max_iter=1 sweeps\n")
+            "warning: the fit did not converge: the lasso at the chosen lambda (index 99) "
+            "reached max_iter=1 passes\n")
 
     def test_unknown_option_field_exit_2(self, dataset_csv, tmp_path, capsys):
         opts = tmp_path / "lasso.json"

@@ -14,6 +14,7 @@ from hereditas.selectors import (
     _finish,
     _lambda_grid,
     _prepare,
+    _solver_inputs,
     fit_lasso_path,
     lambda_path,
     lasso_fit,
@@ -21,7 +22,9 @@ from hereditas.selectors import (
     ols_fit,
     tune_lasso,
 )
+from hereditas.simulate import standardize_train
 from hereditas.standardize import RAW
+from hereditas.terms import canonical_terms
 
 
 def lasso_objective(X, y, fit, lam, opts=None) -> float:
@@ -332,6 +335,13 @@ def lasso_design(kind, seed):
     return X, y, full_rank
 
 
+def gaussian_path_problem():
+    """A 200x65 Gaussian design with ten true columns."""
+    rng = np.random.default_rng(50)
+    X = rng.standard_normal((200, 65))
+    return X, X[:, :10] @ rng.standard_normal(10) + 2.0 * rng.standard_normal(200)
+
+
 class TestExactStepMatchesPlainDescent:
     """Differential oracle: the kernel against plain coordinate descent."""
 
@@ -375,14 +385,35 @@ class TestExactStepMatchesPlainDescent:
         if kind == "above_max":
             assert all(np.all(f.coefs.values == 0.0) for f in fits)
 
-    def test_sweep_count_on_a_gaussian_path(self):
-        rng = np.random.default_rng(50)
-        X = rng.standard_normal((200, 65))
-        y = X[:, :10] @ rng.standard_normal(10) + 2.0 * rng.standard_normal(200)
-        opts = LassoOptions()
-        _, fits = fit_lasso_path(X, y, opts)
+    def test_sweep_count_on_a_gaussian_path(self, monkeypatch):
+        # Exact working-set steps solve every lambda of a full-rank path; a
+        # full sweep is only the fallback.
+        sweeps = []
+        sweep = kernels._sweep
+        monkeypatch.setattr(kernels, "_sweep", lambda *a: (sweeps.append(1), sweep(*a))[1])
+        X, y = gaussian_path_problem()
+        _, fits = fit_lasso_path(X, y, LassoOptions())
         assert all(f.converged for f in fits)
-        assert sum(f.iterations for f in fits) <= opts.n_lambda
+        assert len(sweeps) <= 2
+
+
+class TestHeldColumns:
+    def test_near_copy_pair_converges_at_a_large_response_scale(self):
+        # X2 = X1 (1 + 1e-9 noise): with their products, the working set
+        # holds two columns.  The step moves along the held line with the
+        # largest KKT residual; sweeps alone creep along it by the rounding
+        # of 1e10-scale coefficients until the cap.
+        rng = np.random.default_rng(0)
+        x1 = rng.standard_normal(34)
+        x = np.column_stack([x1, x1 * (1.0 + 1e-9 * rng.standard_normal(34))])
+        y = 1e10 * rng.standard_normal(34)
+        train = np.random.default_rng(0).permutation(34)[:20]
+        z, *_ = standardize_train(x[train], canonical_terms(2), "hierarchical", "median-iqr")
+        lambdas, fits = fit_lasso_path(z, y[train], LassoOptions(max_iter=2000))
+        slack = _solver_inputs(_prepare(z, y[train], True))[1]
+        for lam, fit in zip(lambdas, fits):
+            assert fit.converged
+            assert max(lasso_kkt_residual(z, y[train], fit, lam)) <= max(1e-6, slack)
 
 
 class TestKernelSeam:
@@ -412,24 +443,44 @@ class TestKernelSeam:
             assert (sweeps, converged) == (fit.iterations, fit.converged)
 
 
-class TestFaceReuse:
-    def test_one_factorization_per_active_set(self, monkeypatch):
-        # The path of test_sweep_count_on_a_gaussian_path: the next lambda
-        # mostly starts on the face where the last one ended.
-        rng = np.random.default_rng(50)
-        X = rng.standard_normal((200, 65))
-        y = X[:, :10] @ rng.standard_normal(10) + 2.0 * rng.standard_normal(200)
-        factored, faces = [], []
-        cholesky, step = kernels.cholesky, kernels._exact_step
-        monkeypatch.setattr(kernels, "cholesky",
-                            lambda *a: (factored.append(1), cholesky(*a))[1])
-        monkeypatch.setattr(kernels, "_exact_step",
-                            lambda *a: (faces.append(np.flatnonzero(a[3])), step(*a))[1])
+class TestFaceUpdates:
+    """On the path of test_sweep_count_on_a_gaussian_path, the working set
+    changes one column at a time."""
+
+    def test_a_one_column_change_factors_nothing(self, monkeypatch):
+        factored, changes = [], []
+        cholesky, inv, fit = kernels.cholesky, np.linalg.inv, kernels.Face.fit
+        monkeypatch.setattr(kernels, "cholesky", lambda *a: (factored.append(1), cholesky(*a))[1])
+        monkeypatch.setattr(np.linalg, "inv", lambda *a: (factored.append(1), inv(*a))[1])
+
+        def counted(face, gram, signs):
+            before, calls = set(face.free) | set(face.held), len(factored)
+            fit(face, gram, signs)
+            changes.append((len(before ^ set(np.flatnonzero(signs))), len(factored) - calls))
+
+        monkeypatch.setattr(kernels.Face, "fit", counted)
+        X, y = gaussian_path_problem()
         _, fits = fit_lasso_path(X, y, LassoOptions())
         assert all(f.converged for f in fits)
-        changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(faces, faces[1:]))
-        assert len(factored) == changes
-        assert 0 < changes < len(faces) / 2
+        one_column = [calls for changed, calls in changes if changed == 1]
+        assert len(one_column) > 50
+        assert not any(one_column)
+
+    def test_updated_inverses_match_their_blocks(self, monkeypatch):
+        errors = []
+        fit = kernels.Face.fit
+
+        def checked(face, gram, signs):
+            fit(face, gram, signs)
+            if not face.fresh:
+                exact = np.linalg.inv(gram[np.ix_(face.free, face.free)])
+                errors.append(np.max(np.abs(face.inv - exact)) / np.max(np.abs(exact)))
+
+        monkeypatch.setattr(kernels.Face, "fit", checked)
+        X, y = gaussian_path_problem()
+        fit_lasso_path(X, y, LassoOptions())
+        assert len(errors) > 50
+        assert max(errors) <= 1e-9
 
 
 class TestDefaultTerms:
