@@ -1,5 +1,4 @@
-"""The lasso kernel, in numpy: exact working-set steps in Gram space, with a
-coordinate-descent sweep as the fallback.
+"""The lasso kernel, in numpy: exact working-set steps in Gram space.
 
 ``cd_solve`` has one certificate: the KKT conditions within ``kkt_tol``,
 checked for every column on the gradient ``g = X'r/n``.  That gradient is
@@ -9,24 +8,26 @@ every later gradient is ``g0 - G (b - b0)``, and the residual is brought up
 to date once, on exit.  No pass does length-n work, except the move along a
 held column's line (below), whose curvature is read from the data.
 
-Each pass is one exact step or one sweep, and ``max_iter`` caps passes.  A
-step moves b toward the minimizer of the objective on the face of a sign
-vector s (Osborne, Presnell & Turlach 2000): with A the columns where s is
-nonzero, it solves ``G_AA d = g_A - lam * s_A``.  On that face the objective
-is the convex quadratic the step minimizes, so moving toward its minimizer
-cannot raise the objective.  After each step (feature-sign search; Lee,
-Battle, Raina & Ng 2007):
+Each pass is one exact step, and ``max_iter`` caps passes.  A step moves b
+toward the minimizer of the objective on the face of a sign vector s
+(Osborne, Presnell & Turlach 2000): with A the columns where s is nonzero,
+it solves ``G_AA d = g_A - lam * s_A``.  On that face the objective is the
+convex quadratic the step minimizes, so moving toward its minimizer cannot
+raise the objective.  After each step (feature-sign search; Lee, Battle,
+Raina & Ng 2007):
 
 - a step that stopped at a zeroed coefficient is followed by a step on the
   face without it;
 - a step that reached its face's minimizer, with only inactive columns
   violating the KKT conditions, is followed by a step on the face where the
   largest violator joins with the sign of its gradient.  With the face
-  solved, the Schur complement moves that column with that sign.
-
-A sweep runs only when a column is held (below), when ``lam == 0``, or when
-a step did not solve its face; the step after it waits for a sweep that
-leaves the signs unchanged.
+  solved, the Schur complement moves that column with that sign.  At
+  lam = 0 every violator joins at once: the objective has no kinks, so
+  signs constrain nothing;
+- at lam > 0, a zero column that would move against its sign leaves the
+  face, and the next step is on the face without it;
+- a step that reached its face's minimizer with an active violation left
+  is followed by another step on that face.
 
 The inverse of the working set's Gram block lives in a ``Face`` owned by the
 caller, one per path, and follows the working set in O(k^2): a joining
@@ -35,8 +36,8 @@ column's Schur complement ``s = G_jj - u' G_AA^-1 u`` over ``G_jj`` is its
 pivot ratio, so it is the column's rank test.  The block is factored again
 (``cholesky``, then ``pivoted_cholesky`` if that fails, then ``inv``) when
 more than one column changed, when a joining column fails the rank test, or
-when a full step still leaves an active violation, which means the updated
-inverse has drifted.
+when a solved face still leaves an active violation, which means the
+updated inverse has drifted.
 
 The guards:
 
@@ -137,8 +138,7 @@ class Face:
 
 
 def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
-    """Minimize (1/2n)||r||^2 + lam*||b||_1 by exact working-set steps, with
-    coordinate-descent sweeps as the fallback.
+    """Minimize (1/2n)||r||^2 + lam*||b||_1 by exact working-set steps.
 
     Parameters
     ----------
@@ -148,7 +148,7 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
     col_nrm2 : (m,) column norms <x_j, x_j>/n; entries <= 0 mark inert
         columns that are skipped (their coefficient stays put).
     lam, kkt_tol : penalty, and the slack allowed in the KKT certificate.
-    max_iter : hard cap on passes; an exact step or a sweep is one pass.
+    max_iter : hard cap on passes; each pass is one exact step.
     gram : (m, m) array XT @ XT.T / n, the source of every gradient and of
         the working set's block.
     face : the ``Face`` of this path's ``gram``; the exact step reads and
@@ -163,10 +163,9 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
     b0 = b.copy()
     g = g0.copy()
     signs = np.sign(b)
-    # The next pass steps on the face of signs, else it sweeps; solved says
-    # that b minimizes the objective on that face (b = 0 on the empty face).
-    step = bool(signs.any())
-    solved = not step
+    # solved says that b minimizes the objective on the face of signs (b = 0
+    # on the empty face).
+    solved = not signs.any()
     passes = 0
     while True:
         active, inactive = kkt_violations(g, b, col_nrm2, lam)
@@ -174,43 +173,18 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
         if converged or passes == max_iter:
             break
         passes += 1
-        if solved:
-            step = True
-            if lam > 0.0 and active <= kkt_tol:
-                j = int(np.argmax(np.where((col_nrm2 > 0.0) & (b == 0.0), np.abs(g), -np.inf)))
-                signs[j] = np.sign(g[j])
-            elif active > kkt_tol and not face.fresh:
-                face.factor(gram, np.flatnonzero(signs))  # the updated inverse drifted
-            else:
-                step = False
-        if step:
-            zeroed, solved = _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face)
-            if zeroed:
-                signs = np.sign(b)
-            step = zeroed
-        else:
-            _sweep(g, b, col_nrm2, lam, gram)
-            new = np.sign(b)
-            step = bool(new.any()) and np.array_equal(new, signs)
-            signs, solved = new, False
+        if solved and active <= kkt_tol:
+            out = np.where((col_nrm2 > 0.0) & (b == 0.0), np.abs(g), -np.inf)
+            join = [int(np.argmax(out))] if lam > 0.0 else np.flatnonzero(out > kkt_tol)
+            signs[join] = np.sign(g[join])
+        elif solved and not face.fresh:
+            face.factor(gram, np.flatnonzero(signs))  # the updated inverse drifted
+        zeroed, solved = _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face)
+        if zeroed:
+            signs = np.sign(b)
         g = g0 - gram @ (b - b0)
     r -= (b - b0) @ XT
     return passes, converged
-
-
-def _sweep(g, b, col_nrm2, lam, gram):
-    """One cyclic coordinate-descent pass over the live columns, keeping the
-    gradient g current with g -= d * G_j."""
-    for j in range(len(b)):
-        vj = col_nrm2[j]
-        if vj <= 0.0:
-            continue
-        z = g[j] + vj * b[j]
-        b_new = (z - lam if z > lam else z + lam if z < -lam else 0.0) / vj
-        d = b_new - b[j]
-        if d != 0.0:
-            g -= d * gram[j]
-            b[j] = b_new
 
 
 def cholesky(g, k=None):
@@ -257,16 +231,20 @@ def _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face):
     the first coefficient it zeroes.  The objective is convex on every segment
     taken and falls along it, so no move can raise it.
 
-    Returns (zeroed, solved): whether the step stopped at a zeroed
-    coefficient, and whether it reached the face's minimizer.  It does not
-    move, and returns neither, when a joining column (zero in b) would
-    move against its sign.
+    At lam > 0, a zero column that would move against its sign (a joining
+    column, or a held one whose line slopes against it) leaves the face
+    instead: its entry of ``signs`` is set to zero and b does not move.
+
+    Returns (zeroed, solved): whether a move stopped at a zeroed
+    coefficient, and whether b reached the face's minimizer.
     """
     face.fit(gram, signs)
     free, held = face.free, face.held
     step = np.zeros(len(b))
     step[free] = face.inv @ (g[free] - lam * signs[free])
-    if np.any((b == 0.0) & (step * signs < 0.0)):
+    against = (b == 0.0) & (step * signs < 0.0)
+    if lam > 0.0 and against.any():
+        signs[against] = 0.0
         return False, False
     if _move(b, step, 1.0, lam):
         return True, False
@@ -279,16 +257,18 @@ def _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face):
     lines[held, np.arange(len(held))] = 1.0
     slopes = (g - gram @ step) @ lines - lam * (signs @ lines)
     i = int(np.argmax(np.abs(slopes)))
-    line, slope = lines[:, i], slopes[i]
-    if b[held[i]] == 0.0 or not abs(slope) > kkt_tol:
+    k, line, slope = held[i], lines[:, i], slopes[i]
+    if not abs(slope) > kkt_tol:
+        return False, True
+    if lam > 0.0 and b[k] == 0.0 and slope * signs[k] < 0.0:
+        signs[k] = 0.0
         return False, False
     # On the line the objective is -slope * t + curv * t^2 / 2.  The
     # curvature is taken from the data: the Gram's Schur complement
     # G_kk - G_kF w is here mostly cancellation.
     fit_line = line @ XT
     curv = fit_line @ fit_line / XT.shape[1]
-    _move(b, np.sign(slope) * line, abs(slope) / curv if curv > 0.0 else np.inf, lam)
-    return False, False
+    return _move(b, np.sign(slope) * line, abs(slope) / curv if curv > 0.0 else np.inf, lam), False
 
 
 def _move(b, step, t_max, lam):

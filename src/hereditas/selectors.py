@@ -86,7 +86,7 @@ class FitResult:
 
     coefs: CoefficientVector
     tuning: float  # chosen lambda (lasso) or final AIC (stepwise)
-    iterations: int  # lasso kernel passes (exact steps and sweeps) or stepwise moves
+    iterations: int  # lasso kernel passes (exact steps) or stepwise moves
     converged: bool
     aic_path: tuple[float, ...] = field(default=())  # stepwise audit trail
     start: str | None = None  # the stepwise starting model, "full" or "null"

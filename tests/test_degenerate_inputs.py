@@ -98,7 +98,7 @@ def _run(argv):
         return main(argv), tuned
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=datasets(), seed=st.integers(0, 2), estimator=st.sampled_from(ESTIMATORS))
 @example(data=_tiny_design(0), seed=1, estimator=ESTIMATORS[0])  # stepwise overflowed
 @example(data=_tiny_design(1), seed=1, estimator=ESTIMATORS[0])  # lasso overflowed

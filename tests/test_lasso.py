@@ -62,7 +62,8 @@ class TestLassoFit:
             icept, coefs, _ = ols_fit(x, y)
             np.testing.assert_allclose(fit.coefs.values, coefs, atol=1e-6)
             assert fit.coefs.intercept == pytest.approx(icept, abs=1e-6)
-            assert fit.converged
+            # Every violator joins at once, so one step solves a full-rank OLS.
+            assert fit.converged and fit.iterations == 1
 
     def test_lambda_max_gives_exact_zeros(self):
         rng = np.random.default_rng(11)
@@ -342,6 +343,18 @@ def gaussian_path_problem():
     return X, X[:, :10] @ rng.standard_normal(10) + 2.0 * rng.standard_normal(200)
 
 
+def near_copy_path_problem():
+    """X2 = X1 (1 + 1e-9 noise) at a 1e10 response scale, hierarchically
+    standardized with their products: the working set holds two columns."""
+    rng = np.random.default_rng(0)
+    x1 = rng.standard_normal(34)
+    x = np.column_stack([x1, x1 * (1.0 + 1e-9 * rng.standard_normal(34))])
+    y = 1e10 * rng.standard_normal(34)
+    train = np.random.default_rng(0).permutation(34)[:20]
+    z, *_ = standardize_train(x[train], canonical_terms(2), "hierarchical", "median-iqr")
+    return z, y[train]
+
+
 class TestExactStepMatchesPlainDescent:
     """Differential oracle: the kernel against plain coordinate descent."""
 
@@ -385,35 +398,28 @@ class TestExactStepMatchesPlainDescent:
         if kind == "above_max":
             assert all(np.all(f.coefs.values == 0.0) for f in fits)
 
-    def test_sweep_count_on_a_gaussian_path(self, monkeypatch):
-        # Exact working-set steps solve every lambda of a full-rank path; a
-        # full sweep is only the fallback.
-        sweeps = []
-        sweep = kernels._sweep
-        monkeypatch.setattr(kernels, "_sweep", lambda *a: (sweeps.append(1), sweep(*a))[1])
-        X, y = gaussian_path_problem()
-        _, fits = fit_lasso_path(X, y, LassoOptions())
+    @pytest.mark.parametrize("problem", [gaussian_path_problem, near_copy_path_problem],
+                             ids=["gaussian", "near_copy"])
+    def test_every_pass_is_one_exact_step(self, monkeypatch, problem):
+        steps = []
+        step = kernels._exact_step
+        monkeypatch.setattr(kernels, "_exact_step", lambda *a: (steps.append(1), step(*a))[1])
+        _, fits = fit_lasso_path(*problem(), LassoOptions(max_iter=2000))
         assert all(f.converged for f in fits)
-        assert len(sweeps) <= 2
+        assert len(steps) == sum(f.iterations for f in fits)
 
 
 class TestHeldColumns:
     def test_near_copy_pair_converges_at_a_large_response_scale(self):
-        # X2 = X1 (1 + 1e-9 noise): with their products, the working set
-        # holds two columns.  The step moves along the held line with the
-        # largest KKT residual; sweeps alone creep along it by the rounding
-        # of 1e10-scale coefficients until the cap.
-        rng = np.random.default_rng(0)
-        x1 = rng.standard_normal(34)
-        x = np.column_stack([x1, x1 * (1.0 + 1e-9 * rng.standard_normal(34))])
-        y = 1e10 * rng.standard_normal(34)
-        train = np.random.default_rng(0).permutation(34)[:20]
-        z, *_ = standardize_train(x[train], canonical_terms(2), "hierarchical", "median-iqr")
-        lambdas, fits = fit_lasso_path(z, y[train], LassoOptions(max_iter=2000))
-        slack = _solver_inputs(_prepare(z, y[train], True))[1]
+        # The step moves along the held line with the largest KKT residual;
+        # plain descent creeps along it by the rounding of 1e10-scale
+        # coefficients until the cap.
+        z, y = near_copy_path_problem()
+        lambdas, fits = fit_lasso_path(z, y, LassoOptions(max_iter=2000))
+        slack = _solver_inputs(_prepare(z, y, True))[1]
         for lam, fit in zip(lambdas, fits):
             assert fit.converged
-            assert max(lasso_kkt_residual(z, y[train], fit, lam)) <= max(1e-6, slack)
+            assert max(lasso_kkt_residual(z, y, fit, lam)) <= max(1e-6, slack)
 
 
 class TestKernelSeam:
@@ -444,8 +450,8 @@ class TestKernelSeam:
 
 
 class TestFaceUpdates:
-    """On the path of test_sweep_count_on_a_gaussian_path, the working set
-    changes one column at a time."""
+    """On gaussian_path_problem's path, the working set changes one column
+    at a time."""
 
     def test_a_one_column_change_factors_nothing(self, monkeypatch):
         factored, changes = [], []
