@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .errors import InconsistentParamsError, InvalidConfigError
 from .io import (
-    RunManifest,
     atomic_write_text,
     config_hash,
     dump_json,
@@ -139,17 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_manifest(out_dir: str, command: str, cfg_dict: dict, seed: int | None,
                     started: str, outputs: list[str], stem: str) -> str:
-    manifest = RunManifest(
-        command=command,
-        config_hash=config_hash(cfg_dict),
-        master_seed=seed,
-        tool_version=__version__,
-        started=started,
-        finished=_now(),
-        outputs=tuple(outputs),
-    )
+    """Write the run's manifest: enough provenance to byte-reproduce it.
+    Timestamps live here, not in the reports, so reports stay byte-stable;
+    ``seed`` is None for standardize, which draws nothing."""
+    manifest = {
+        "command": command,
+        "config_hash": config_hash(cfg_dict),
+        "master_seed": seed,
+        "tool_version": __version__,
+        "started": started,
+        "finished": _now(),
+        "outputs": outputs,
+    }
     path = os.path.join(out_dir, f"{stem}.manifest.json")
-    atomic_write_text(path, dump_json(to_json(manifest)))
+    atomic_write_text(path, dump_json(manifest))
     return path
 
 

@@ -1,4 +1,4 @@
-"""CSV/JSON file handling, atomic writes, and the run manifest."""
+"""CSV/JSON file handling and atomic writes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import hashlib
 import io as _io
 import json
 import os
-import tempfile
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
@@ -18,10 +17,11 @@ from .standardize import CoefficientVector
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory + rename, so a crashed
-    run never leaves a partial report."""
+    run never leaves a partial report.  The file gets mode 0o666 less the
+    umask, as ``open(path, "w")`` would create it."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -203,16 +203,3 @@ def file_sha256(path) -> str:
             digest.update(block)
     return digest.hexdigest()
 
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Enough provenance to byte-reproduce a run (timestamps excluded from
-    the report files themselves, so reports stay byte-stable)."""
-
-    command: str
-    config_hash: str
-    master_seed: int | None  # None for standardize, which draws nothing
-    tool_version: str
-    started: str
-    finished: str
-    outputs: tuple[str, ...]

@@ -1,12 +1,11 @@
 """The lasso kernel, in numpy: exact working-set steps in Gram space.
 
 ``cd_solve`` has one certificate: the KKT conditions within ``kkt_tol``,
-checked for every column on the gradient ``g = X'r/n``.  That gradient is
-read from the precomputed Gram ``G = X'X/n`` (the "covariance updates" of
-Friedman, Hastie & Tibshirani 2010): on entry ``g0 = X'r/n`` is taken once,
-every later gradient is ``g0 - G (b - b0)``, and the residual is brought up
-to date once, on exit.  No pass does length-n work, except the move along a
-held column's line (below), whose curvature is read from the data.
+checked for every column on the gradient ``g = X'(y - X b)/n``.  No residual
+is kept: with ``c = X'y/n`` and the Gram ``G = X'X/n``, every gradient is
+``c - G b`` (the "covariance updates" of Friedman, Hastie & Tibshirani
+2010).  No pass does length-n work, except the move along a held column's
+line (below), whose curvature is read from the data.
 
 Each pass is one exact step, and ``max_iter`` caps passes.  A step moves b
 toward the minimizer of the objective on the face of a sign vector s
@@ -29,8 +28,8 @@ Raina & Ng 2007):
 - a step that reached its face's minimizer with an active violation left
   is followed by another step on that face.
 
-The inverse of the working set's Gram block lives in a ``Face`` owned by the
-caller, one per path, and follows the working set in O(k^2): a joining
+The inverse of the working set's Gram block lives in a ``Face`` that holds
+the Gram, one per path, and follows the working set in O(k^2): a joining
 column borders it, and a leaving one is a rank-one downdate.  A joining
 column's Schur complement ``s = G_jj - u' G_AA^-1 u`` over ``G_jj`` is its
 pivot ratio, so it is the column's rank test.  The block is factored again
@@ -73,19 +72,20 @@ RANK_TOL = 1e-10
 class Face:
     """The working set of one lasso path and the inverse of its Gram block.
 
-    Valid only with the one ``gram`` it was filled from; a path creates one
-    and passes it to every ``cd_solve`` call.  ``free`` and ``held`` split
-    the working set by the rank test, ``inv`` is the inverse of ``G_FF`` in
-    the order of ``free``, and ``fresh`` says that ``inv`` was computed from
-    its block rather than updated.
+    ``gram`` is the path's X'X/n; a path creates one ``Face`` on it and
+    passes it to every ``cd_solve`` call.  ``free`` and ``held`` split the
+    working set by the rank test, ``inv`` is the inverse of ``G_FF`` in the
+    order of ``free``, and ``fresh`` says that ``inv`` was computed from its
+    block rather than updated.
     """
 
-    def __init__(self):
+    def __init__(self, gram):
+        self.gram = gram
         self.free = self.held = np.empty(0, dtype=np.intp)
         self.inv = np.empty((0, 0))
         self.fresh = True
 
-    def fit(self, gram, signs):
+    def fit(self, signs):
         """Make this the face of the nonzero entries of ``signs``: border or
         downdate ``inv`` when one column changed, else factor again."""
         was = np.zeros(len(signs), dtype=bool)
@@ -99,13 +99,13 @@ class Face:
             if left.size:
                 self._downdate(int(np.flatnonzero(self.free == left[0])[0]))
                 return
-            if self._border(gram, int(joined[0])):
+            if self._border(int(joined[0])):
                 return
-        self.factor(gram, np.flatnonzero(now))
+        self.factor(np.flatnonzero(now))
 
-    def factor(self, gram, active):
+    def factor(self, active):
         """Split ``active`` by the rank test and invert its kept block."""
-        g_ff = gram[np.ix_(active, active)]
+        g_ff = self.gram[np.ix_(active, active)]
         free, held = active, active[:0]
         if active.size and cholesky(g_ff)[1] <= RANK_TOL:
             keep, drop = pivoted_cholesky(g_ff)
@@ -113,13 +113,13 @@ class Face:
             g_ff = g_ff[np.ix_(keep, keep)]
         self.free, self.held, self.inv, self.fresh = free, held, np.linalg.inv(g_ff), True
 
-    def _border(self, gram, j):
+    def _border(self, j):
         """Append column j to ``free``; False, with nothing changed, when its
         pivot ratio s / G_jj is at or below RANK_TOL."""
-        u = gram[self.free, j]
+        u = self.gram[self.free, j]
         v = self.inv @ u
-        s = gram[j, j] - u @ v
-        if not s > RANK_TOL * gram[j, j]:
+        s = self.gram[j, j] - u @ v
+        if not s > RANK_TOL * self.gram[j, j]:
             return False
         k = len(self.free)
         inv = np.empty((k + 1, k + 1))
@@ -137,37 +137,33 @@ class Face:
         self.free, self.fresh = self.free[keep], False
 
 
-def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
-    """Minimize (1/2n)||r||^2 + lam*||b||_1 by exact working-set steps.
+def cd_solve(XT, c, b, col_nrm2, lam, kkt_tol, max_iter, face):
+    """Minimize (1/2n)||y - X b||^2 + lam*||b||_1 by exact working-set steps.
 
     Parameters
     ----------
     XT : (m, n) array, columns of the design stored as contiguous rows.
-    r : (n,) residual y - X b for the warm-start b; updated in place.
+    c : (m,) X'y/n for the centered response y.
     b : (m,) warm-start coefficients; updated in place.
     col_nrm2 : (m,) column norms <x_j, x_j>/n; entries <= 0 mark inert
         columns that are skipped (their coefficient stays put).
     lam, kkt_tol : penalty, and the slack allowed in the KKT certificate.
     max_iter : hard cap on passes; each pass is one exact step.
-    gram : (m, m) array XT @ XT.T / n, the source of every gradient and of
-        the working set's block.
-    face : the ``Face`` of this path's ``gram``; the exact step reads and
-        updates it.
+    face : the path's ``Face``, on the Gram XT @ XT.T / n; every gradient is
+        ``c - face.gram @ b``, and the exact step reads and updates it.
 
     Returns
     -------
     (passes, converged) : passes run (0 when the warm start is certified),
     and whether the KKT check passed.
     """
-    g0 = XT @ r * (1.0 / XT.shape[1])
-    b0 = b.copy()
-    g = g0.copy()
     signs = np.sign(b)
     # solved says that b minimizes the objective on the face of signs (b = 0
     # on the empty face).
     solved = not signs.any()
     passes = 0
     while True:
+        g = c - face.gram @ b
         active, inactive = kkt_violations(g, b, col_nrm2, lam)
         converged = max(active, inactive) <= kkt_tol
         if converged or passes == max_iter:
@@ -178,12 +174,10 @@ def cd_solve(XT, r, b, col_nrm2, lam, kkt_tol, max_iter, gram, face):
             join = [int(np.argmax(out))] if lam > 0.0 else np.flatnonzero(out > kkt_tol)
             signs[join] = np.sign(g[join])
         elif solved and not face.fresh:
-            face.factor(gram, np.flatnonzero(signs))  # the updated inverse drifted
-        zeroed, solved = _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face)
+            face.factor(np.flatnonzero(signs))  # the updated inverse drifted
+        zeroed, solved = _exact_step(XT, g, b, signs, lam, kkt_tol, face)
         if zeroed:
             signs = np.sign(b)
-        g = g0 - gram @ (b - b0)
-    r -= (b - b0) @ XT
     return passes, converged
 
 
@@ -219,9 +213,9 @@ def pivoted_cholesky(g):
     return piv, piv[:0]
 
 
-def _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face):
+def _exact_step(XT, g, b, signs, lam, kkt_tol, face):
     """Move b toward the minimizer on the face of ``signs``, given the
-    gradient g = X'r/n at b.
+    gradient g = X'(y - X b)/n at b.
 
     ``face`` is brought to the nonzero entries of ``signs`` and gives the
     free columns F and the inverse of G_FF.  b moves to F's exact solution,
@@ -238,8 +232,8 @@ def _exact_step(XT, g, b, signs, lam, gram, kkt_tol, face):
     Returns (zeroed, solved): whether a move stopped at a zeroed
     coefficient, and whether b reached the face's minimizer.
     """
-    face.fit(gram, signs)
-    free, held = face.free, face.held
+    face.fit(signs)
+    free, held, gram = face.free, face.held, face.gram
     step = np.zeros(len(b))
     step[free] = face.inv @ (g[free] - lam * signs[free])
     against = (b == 0.0) & (step * signs < 0.0)
@@ -294,8 +288,8 @@ def _move(b, step, t_max, lam):
 
 def kkt_violations(g, b, col_nrm2, lam):
     """Largest KKT violations (active, inactive) of b, given the gradient
-    g = X'r/n: |g_j - lam * sign(b_j)| over live nonzero coefficients, and
-    |g_j| - lam, floored at zero, over live zero ones."""
+    g = X'(y - X b)/n: |g_j - lam * sign(b_j)| over live nonzero
+    coefficients, and |g_j| - lam, floored at zero, over live zero ones."""
     live = col_nrm2 > 0.0
     active = live & (b != 0.0)
     inactive = live & (b == 0.0)

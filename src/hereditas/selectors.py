@@ -1,8 +1,8 @@
 """Variable selectors operated on (standardized) design matrices.
 
 Two selectors cover the four method-by-standardization variants used in
-the experiments: a coordinate-descent lasso with a geometric lambda path
-and validation-set tuning, and a bidirectional stepwise search under AIC.
+the experiments: a lasso with a geometric lambda path and validation-set
+tuning, and a bidirectional stepwise search under AIC.
 
 Lasso objective: (1/2n)||y - eta*1 - X b||^2 + lam*||b||_1 with the
 intercept unpenalized.  By default columns are centered and scaled to
@@ -104,6 +104,7 @@ class _Prepped:
     x_scale: np.ndarray  # internal scales (ones when standardization is off)
     y_mean: float
     yc: np.ndarray
+    c: np.ndarray  # X'yc/n, the kernel's gradient at b = 0
 
 
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +138,12 @@ def _prepare(X, y, internal_standardize: bool) -> _Prepped:
     # zero entries mark constant columns, which stay inert.
     col_nrm2 = np.mean(XT * XT, axis=1)
     y_mean = float(y.mean())
-    return _Prepped(XT, col_nrm2, x_mean, x_scale, y_mean, y - y_mean)
+    yc = y - y_mean
+    return _Prepped(XT, col_nrm2, x_mean, x_scale, y_mean, yc, XT @ yc / n)
 
 
 def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
-    """The kernel's Gram X'X/n and its KKT slack, floored at the rounding of X'r/n.
+    """The kernel's Gram X'X/n and its KKT slack, floored at the rounding of its gradients.
 
     Raises InvalidDimensionError when y'y or the Gram overflows: no lasso
     fit or validation MSE is then computable.
@@ -151,8 +153,8 @@ def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
         gram = prep.XT @ prep.XT.T / prep.XT.shape[1]
     if not (math.isfinite(yty) and np.all(np.isfinite(gram))):
         raise InvalidDimensionError("response or design too large: y'y or X'X overflows")
-    # |x_j'r/n| is at most the column's rms times the residual's, and the
-    # residual starts as yc.
+    # |x_j'(yc - X b)/n| is at most the column's rms times the residual's,
+    # and the residual starts as yc.
     scale = float(np.max(np.abs(prep.yc)) * np.sqrt(np.max(prep.col_nrm2, initial=0.0)))
     return gram, max(KKT_SLACK, ROUNDING_ULPS * np.finfo(float).eps * scale)
 
@@ -177,10 +179,9 @@ def lambda_path(X, y, opts: LassoOptions | None = None) -> np.ndarray:
 
 
 def _lambda_grid(prep: _Prepped, opts: LassoOptions) -> np.ndarray:
-    # lambda_max is nudged up so the all-zero guarantee survives last-ulp
-    # differences between this dot product and the kernel's summation order.
-    peak = np.max(np.abs(prep.XT @ prep.yc), initial=0.0)
-    lam_max = float(peak / prep.XT.shape[1]) * (1.0 + 1e-12)
+    # lambda_max is nudged up so the all-zero guarantee holds with room to
+    # spare; the kernel's gradient at b = 0 is c itself.
+    lam_max = float(np.max(np.abs(prep.c), initial=0.0)) * (1.0 + 1e-12)
     if opts.n_lambda == 1 or lam_max == 0.0:
         return np.full(opts.n_lambda, lam_max)
     ratio = opts.resolve_min_ratio(len(prep.yc), prep.XT.shape[0])
@@ -200,14 +201,13 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
         raise ValueError("every lambda must be finite and nonnegative")
     gram, kkt_tol = _solver_inputs(prep)
     b = np.zeros(prep.XT.shape[0])
-    r = prep.yc.copy()
     if terms is None:
         terms = _default_terms(len(b))
-    face = kernels.Face()
+    face = kernels.Face(gram)
     fits = []
     for lam in lambdas:
         passes, converged = kernels.cd_solve(
-            prep.XT, r, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, gram, face
+            prep.XT, prep.c, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, face
         )
         fits.append(_finish(prep, b.copy(), float(lam), passes, converged, terms, scale_tag))
     return lambdas, fits

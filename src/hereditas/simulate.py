@@ -8,6 +8,7 @@ every method cell consumes the identical datasets.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -89,6 +90,10 @@ class SettingConfig:
     printed_snr: float | None = None  # tabulated value to cross-check, when one exists
 
     def __post_init__(self):
+        # The name is the stem of the campaign's output files.
+        if self.name in ("", ".", "..") or any(
+                sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise InvalidConfigError(f"name must be a file stem, got {self.name!r}")
         if self.p < 1:
             raise InvalidConfigError("p must be at least 1")
         counts = (self.n_active_mains, self.n_active_inters, self.n_active_quads,

@@ -10,7 +10,6 @@ lexicographic (j, k) order, then all quadratics.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,6 @@ INTER = "inter"
 QUAD = "quad"
 
 _KIND_RANK = {MAIN: 0, INTER: 1, QUAD: 2}
-
-_LABEL_RE = re.compile(r"^X(\d+)(?::X(\d+)|(\^2))?$")
-
 
 @dataclass(frozen=True)
 class TermId:
@@ -94,19 +90,6 @@ def inter(j: int, k: int) -> TermId:
     return TermId(INTER, lo, hi)
 
 
-def parse_label(label: str) -> TermId:
-    """Inverse of :meth:`TermId.label` ("X3", "X1:X2", "X3^2")."""
-    m = _LABEL_RE.match(label.strip())
-    if m is None:
-        raise ValueError(f"unrecognized term label {label!r}")
-    i = int(m.group(1)) - 1
-    if m.group(2) is not None:
-        return inter(i, int(m.group(2)) - 1)
-    if m.group(3) is not None:
-        return quad(i)
-    return main(i)
-
-
 @dataclass(frozen=True)
 class TermSet:
     """An ordered collection of terms over ``p`` ambient main effects.
@@ -148,10 +131,6 @@ class TermSet:
 
     def labels(self) -> list[str]:
         return [t.label() for t in self.terms]
-
-    def subset(self, keep) -> "TermSet":
-        keep = set(keep)
-        return TermSet(self.p, tuple(t for t in self.terms if t in keep))
 
     def heredity_closure(self) -> "TermSet":
         """This set plus every parent main effect of its second-order terms."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hereditas
+from hereditas import cli
 from hereditas.cli import main, split_sizes
 from hereditas.errors import InvalidDimensionError
 from hereditas.io import atomic_write_text, from_json_fields, read_table, to_json
@@ -170,6 +171,16 @@ class TestAtomicWrite:
         assert target.read_text() == "hello\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(target, "hello\n")
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == mode
+
 
 def test_cli_import_loads_numpy_only():
     # numpy is the one runtime dependency: past numpy and the standard
@@ -257,6 +268,18 @@ class TestSimulateCommand:
                    "--methods", "lasso"])
         assert rc == 0
         assert (tmp_path / "mini.report.json").exists()
+
+    @pytest.mark.parametrize("name", ["sub/x", "../escaped", "", ".", ".."])
+    def test_name_that_is_not_a_file_stem_exit_2(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: pytest.fail("campaign ran"))
+        (tmp_path / "in").mkdir()
+        cfg_path = tmp_path / "in" / "cfg.json"
+        cfg_path.write_text(json.dumps({"name": name, "replicates": 1}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"name must be a file stem, got {name!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+        assert [p.name for p in (tmp_path / "in").iterdir()] == ["cfg.json"]
 
     def test_bad_method_exit_2(self, capsys):
         rc = main(["simulate", "--preset", "setting1", "--methods", "ridge"])

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hereditas import kernels, selectors
@@ -362,6 +362,7 @@ class TestExactStepMatchesPlainDescent:
     @given(st.sampled_from(["gaussian", "duplicate", "near_copy", "binary", "constant", "wide",
                             "above_max"]),
            st.integers(0, 2**32 - 1))
+    @example("gaussian", 81382160)  # a column certified at zero 5.2e-8 past its kink
     def test_whole_paths_match(self, kind, seed):
         X, y, full_rank = lasso_design(kind, seed)
         # Plain descent can zigzag along a near-copy pair until max_iter.
@@ -393,8 +394,13 @@ class TestExactStepMatchesPlainDescent:
                 pred, pred_ref = fit.coefs.predict(X), old.coefs.predict(X)
                 assert np.max(np.abs(pred - pred_ref)) <= 1e-5 * max(1.0, np.max(np.abs(pred_ref)))
                 if lam > 0.0:
-                    np.testing.assert_array_equal(fit.coefs.values != 0.0,
-                                                  old.coefs.values != 0.0)
+                    # A column within KKT_SLACK of its kink may be certified
+                    # at zero or just off it, so only the others must agree.
+                    b = fit.coefs.values * prep.x_scale
+                    g = prep.XT @ (prep.yc - b @ prep.XT) / len(y)
+                    clear = np.abs(np.abs(g) - lam) > KKT_SLACK
+                    np.testing.assert_array_equal((fit.coefs.values != 0.0)[clear],
+                                                  (old.coefs.values != 0.0)[clear])
         if kind == "above_max":
             assert all(np.all(f.coefs.values == 0.0) for f in fits)
 
@@ -459,9 +465,9 @@ class TestFaceUpdates:
         monkeypatch.setattr(kernels, "cholesky", lambda *a: (factored.append(1), cholesky(*a))[1])
         monkeypatch.setattr(np.linalg, "inv", lambda *a: (factored.append(1), inv(*a))[1])
 
-        def counted(face, gram, signs):
+        def counted(face, signs):
             before, calls = set(face.free) | set(face.held), len(factored)
-            fit(face, gram, signs)
+            fit(face, signs)
             changes.append((len(before ^ set(np.flatnonzero(signs))), len(factored) - calls))
 
         monkeypatch.setattr(kernels.Face, "fit", counted)
@@ -476,10 +482,10 @@ class TestFaceUpdates:
         errors = []
         fit = kernels.Face.fit
 
-        def checked(face, gram, signs):
-            fit(face, gram, signs)
+        def checked(face, signs):
+            fit(face, signs)
             if not face.fresh:
-                exact = np.linalg.inv(gram[np.ix_(face.free, face.free)])
+                exact = np.linalg.inv(face.gram[np.ix_(face.free, face.free)])
                 errors.append(np.max(np.abs(face.inv - exact)) / np.max(np.abs(exact)))
 
         monkeypatch.setattr(kernels.Face, "fit", checked)

@@ -21,7 +21,7 @@ from hereditas.standardize import (
     standardize_mains,
     standardize_regular,
 )
-from hereditas.terms import canonical_terms, expand, inter, main, quad
+from hereditas.terms import TermSet, canonical_terms, expand, inter, main, quad
 
 TS3 = canonical_terms(3)
 
@@ -220,7 +220,7 @@ class TestBackTransformHierarchical:
             back_transform_hierarchical(cv, ls, TS3)
 
     def test_subset_terms_grow_parent_slots(self):
-        sub = TS3.subset([inter(0, 1)])
+        sub = TermSet(3, (inter(0, 1),))
         cv = make_hier_coefs(sub, {inter(0, 1): 2.0})
         ls = LocationScale(MEAN_SD, centers=[0.5, -0.4, 0.1], scales=[1.0, 2.0, 1.0],
                            delta_applied=[0.0] * 3)

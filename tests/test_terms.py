@@ -10,7 +10,6 @@ from hereditas.terms import (
     expand,
     inter,
     main,
-    parse_label,
     quad,
 )
 
@@ -92,14 +91,6 @@ class TestTermId:
         assert inter(0, 1).label() == "X1:X2"
         assert quad(2).label() == "X3^2"
 
-    @given(st.integers(0, 9), st.integers(0, 9))
-    def test_label_round_trip(self, a, b):
-        ts = [main(a), quad(a)]
-        if a != b:
-            ts.append(inter(a, b))
-        for t in ts:
-            assert parse_label(t.label()) == t
-
 
 class TestTermSet:
     def test_rejects_disorder(self):
@@ -113,11 +104,6 @@ class TestTermSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             TermSet(2, (main(0), quad(3)))
-
-    def test_subset_keeps_order(self):
-        ts = canonical_terms(3)
-        sub = ts.subset([quad(1), main(0), inter(0, 2)])
-        assert sub.terms == (main(0), inter(0, 2), quad(1))
 
     def test_heredity_closure_adds_parents(self):
         ts = TermSet(3, (inter(0, 2), quad(1)))
