@@ -59,7 +59,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="path to a JSON file of lasso solver options")
     p.add_argument("--stepwise-options", default=None, metavar="JSON",
                    help="path to a JSON file of stepwise options")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     _add_out_dir(p)
     _add_format(p)
 
@@ -109,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--schemes", default=",".join(SCHEMES),
                      help="comma list among hierarchical,regular")
     sim.add_argument("--threads", type=int, default=1, help="replicate worker processes")
+    sim.add_argument("--seed", type=int, default=None,
+                     help="master RNG seed (default: the setting's master_seed)")
     _add_run_options(sim)
 
     fit = sub.add_parser("fit", help="fit a selector to a CSV dataset")
@@ -118,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scheme", choices=SCHEMES, default=HIERARCHICAL)
     fit.add_argument("--estimator", choices=(MEAN_SD, MEDIAN_IQR), default=MEAN_SD)
     fit.add_argument("--split", default="3:1:1", help="train:valid:test ratio")
+    fit.add_argument("--seed", type=int, default=0, help="master RNG seed")
     _add_run_options(fit)
 
     std = sub.add_parser("standardize", help="write the standardized expanded design")
@@ -175,8 +177,9 @@ def cmd_simulate(args) -> int:
         cfg = preset(args.preset)
     else:
         cfg = from_json_fields(SettingConfig, _read_json(args.config), "config field")
+    seed = cfg.master_seed if args.seed is None else args.seed
     replicates = cfg.replicates if args.replicates is None else args.replicates
-    cfg = replace(cfg, master_seed=args.seed, replicates=replicates)
+    cfg = replace(cfg, master_seed=seed, replicates=replicates)
     cells = tuple((m, s) for m in _parse_list(args.methods, METHODS, "method")
                   for s in _parse_list(args.schemes, SCHEMES, "scheme"))
     lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
@@ -338,8 +341,10 @@ def _read_report(path) -> dict:
     """The campaign report at path, checked for the fields the table reads."""
     doc = _read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("config"), dict)
-            and "name" in doc["config"] and isinstance(doc.get("cells"), list)):
-        raise InvalidConfigError(f"{path}: not a campaign report (no config.name or no cells)")
+            and isinstance(doc["config"].get("name"), str)
+            and isinstance(doc.get("cells"), list)):
+        raise InvalidConfigError(
+            f"{path}: not a campaign report (no string config.name or no cells)")
     try:
         for cell in doc["cells"]:
             if not (isinstance(cell, dict) and isinstance(cell.get("method"), str) and

@@ -29,20 +29,19 @@ Raina & Ng 2007):
   is followed by another step on that face.
 
 The inverse of the working set's Gram block lives in a ``Face`` that holds
-the Gram, one per path, and follows the working set in O(k^2): a joining
-column borders it, and a leaving one is a rank-one downdate.  A joining
-column's Schur complement ``s = G_jj - u' G_AA^-1 u`` over ``G_jj`` is its
-pivot ratio, so it is the column's rank test.  The block is factored again
-(``cholesky``, then ``pivoted_cholesky`` if that fails, then ``inv``) when
-more than one column changed, when a joining column fails the rank test, or
-when a solved face still leaves an active violation, which means the
+the Gram, one per path, and follows the working set in O(k^2) per column:
+a leaving column is a rank-one downdate, and a joining one borders it.  A
+joining column's Schur complement ``s = G_jj - u' G_AA^-1 u`` over ``G_jj``
+is its pivot ratio, so it is the column's rank test.  While a column is
+held, a change builds the face again by bordering from the empty one, and so
+does a solved face that still leaves an active violation, which means the
 updated inverse has drifted.
 
 The guards:
 
-- On a block that fails the rank test, a column whose pivoted ratio
-  ``L_kk^2 / G_kk`` is at or below ``RANK_TOL`` (a duplicated column, an
-  active set wider than n) is held fixed, and the others are solved for.
+- A joining column whose pivot ratio is at or below ``RANK_TOL`` (a
+  duplicated column, an active set wider than n) is held fixed, and the
+  others are solved for.
 - A step that would flip a sign stops at the first coefficient it zeroes
   (at lam = 0 the objective has no kinks, and it does not stop).
 - After a full step, the held column with the largest KKT residual moves
@@ -63,9 +62,9 @@ import numpy as np
 # Names the solver; recorded by the benchmark's environment probe.
 KERNEL = "python"
 
-# A Cholesky pivot with L_kk^2 / G_kk <= RANK_TOL means column k is, to
-# rounding, a combination of the columns before it: the factorization can
-# succeed on such a numerically singular Gram with a tiny positive pivot.
+# A pivot ratio L_kk^2 / G_kk <= RANK_TOL means column k is, to rounding, a
+# combination of the columns before it: a Cholesky factorization can succeed
+# on such a numerically singular Gram with a tiny positive pivot.
 RANK_TOL = 1e-10
 
 
@@ -75,63 +74,61 @@ class Face:
     ``gram`` is the path's X'X/n; a path creates one ``Face`` on it and
     passes it to every ``cd_solve`` call.  ``free`` and ``held`` split the
     working set by the rank test, ``inv`` is the inverse of ``G_FF`` in the
-    order of ``free``, and ``fresh`` says that ``inv`` was computed from its
-    block rather than updated.
+    order of ``free``, and ``fresh`` says that ``inv`` was built by
+    ``factor`` rather than updated.
     """
 
     def __init__(self, gram):
         self.gram = gram
-        self.free = self.held = np.empty(0, dtype=np.intp)
-        self.inv = np.empty((0, 0))
-        self.fresh = True
+        self.factor([])
 
     def fit(self, signs):
-        """Make this the face of the nonzero entries of ``signs``: border or
-        downdate ``inv`` when one column changed, else factor again."""
+        """Make this the face of the nonzero entries of ``signs``: downdate
+        each column that left, then border each one that joined.  While a
+        column is held, any change builds the face again, so that a held
+        column can become free."""
         was = np.zeros(len(signs), dtype=bool)
         was[self.free] = was[self.held] = True
         now = signs != 0.0
-        joined, left = np.flatnonzero(now & ~was), np.flatnonzero(was & ~now)
-        changed = len(joined) + len(left)
-        if changed == 0:
+        joined, left = np.flatnonzero(now & ~was).tolist(), np.flatnonzero(was & ~now).tolist()
+        if self.held.size and (joined or left):
+            self.factor(np.flatnonzero(now).tolist())
             return
-        if changed == 1 and not self.held.size:
-            if left.size:
-                self._downdate(int(np.flatnonzero(self.free == left[0])[0]))
-                return
-            if self._border(int(joined[0])):
-                return
-        self.factor(np.flatnonzero(now))
+        for j in left:
+            self._downdate(j)
+        for j in joined:
+            self._border(j)
 
     def factor(self, active):
-        """Split ``active`` by the rank test and invert its kept block."""
-        g_ff = self.gram[np.ix_(active, active)]
-        free, held = active, active[:0]
-        if active.size and cholesky(g_ff)[1] <= RANK_TOL:
-            keep, drop = pivoted_cholesky(g_ff)
-            free, held = active[keep], active[drop]
-            g_ff = g_ff[np.ix_(keep, keep)]
-        self.free, self.held, self.inv, self.fresh = free, held, np.linalg.inv(g_ff), True
+        """Build the face of ``active`` (ascending) from the empty one by
+        bordering its columns in turn: the unpivoted Cholesky's rank test,
+        column by column, with the columns that fail it held."""
+        self.free = self.held = np.empty(0, dtype=np.intp)
+        self.inv = np.empty((0, 0))
+        for j in active:
+            self._border(j)
+        self.fresh = True
 
     def _border(self, j):
-        """Append column j to ``free``; False, with nothing changed, when its
-        pivot ratio s / G_jj is at or below RANK_TOL."""
+        """Append column j to ``free``, or to ``held`` when its pivot ratio
+        s / G_jj is at or below RANK_TOL."""
         u = self.gram[self.free, j]
         v = self.inv @ u
         s = self.gram[j, j] - u @ v
         if not s > RANK_TOL * self.gram[j, j]:
-            return False
+            self.held = np.append(self.held, j)
+            return
         k = len(self.free)
         inv = np.empty((k + 1, k + 1))
         inv[:k, :k] = self.inv + np.multiply.outer(v, v / s)
         inv[:k, k] = inv[k, :k] = -v / s
         inv[k, k] = 1.0 / s
         self.free, self.inv, self.fresh = np.append(self.free, j), inv, False
-        return True
 
-    def _downdate(self, p):
-        """Remove the column at position p of ``free``."""
-        keep = np.arange(len(self.free)) != p
+    def _downdate(self, j):
+        """Remove column j from ``free``."""
+        keep = self.free != j
+        p = int(np.argmin(keep))
         e = self.inv[keep, p]
         self.inv = self.inv[keep][:, keep] - np.multiply.outer(e, e / self.inv[p, p])
         self.free, self.fresh = self.free[keep], False
@@ -179,38 +176,6 @@ def cd_solve(XT, c, b, col_nrm2, lam, kkt_tol, max_iter, face):
         if zeroed:
             signs = np.sign(b)
     return passes, converged
-
-
-def cholesky(g, k=None):
-    """The rank test: the lower Cholesky factor of g and its smallest pivot
-    ratio L_jj^2 / g_jj over the columns of ``g[:k]`` (all by default).  A
-    ratio at or below RANK_TOL marks g singular; so does a factorization
-    that fails, as (None, 0.0)."""
-    try:
-        factor = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return None, 0.0
-    pivots = factor.diagonal()[:k]
-    return factor, float((pivots * pivots / g.diagonal()[:k]).min())
-
-
-def pivoted_cholesky(g):
-    """Complete-pivoting Cholesky of g scaled to unit diagonal (Higham 1990,
-    the rule of LAPACK's dpstf2): each step takes the largest remaining
-    diagonal, and the factorization stops once that is at or below RANK_TOL.
-    Returns the positions of the columns it keeps, in pivot order, and of
-    the others."""
-    sd = np.sqrt(g.diagonal())
-    s = g / np.multiply.outer(sd, sd)
-    piv = np.arange(len(s))
-    for rank in range(len(s)):
-        p = rank + int(np.argmax(s[piv[rank:], piv[rank:]]))
-        if not s[piv[p], piv[p]] > RANK_TOL:
-            return piv[:rank], piv[rank:]
-        piv[[rank, p]] = piv[[p, rank]]
-        v = s[:, piv[rank]] / np.sqrt(s[piv[rank], piv[rank]])
-        s -= np.multiply.outer(v, v)
-    return piv, piv[:0]
 
 
 def _exact_step(XT, g, b, signs, lam, kkt_tol, face):

@@ -272,6 +272,19 @@ def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
     return float(beta[0]), beta[1:], float(resid @ resid)
 
 
+def cholesky(g, k=None):
+    """The rank test: the lower Cholesky factor of g and its smallest pivot
+    ratio L_jj^2 / g_jj over the columns of ``g[:k]`` (all by default).  A
+    ratio at or below RANK_TOL marks g singular; so does a factorization
+    that fails, as (None, 0.0)."""
+    try:
+        factor = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    pivots = factor.diagonal()[:k]
+    return factor, float((pivots * pivots / g.diagonal()[:k]).min())
+
+
 class _GramSearch:
     """OLS over column subsets via the bordered Gram [[z'z, z'y], [y'z, c]]
     of z = [1, X].  The Cholesky factor of a model's bordered block ends in
@@ -301,7 +314,7 @@ class _GramSearch:
         """(RSS, smallest pivot ratio L_kk^2 / G_kk, bordered factor) of one
         model; a rank-deficient model has infinite RSS and no factor."""
         idx = np.array((-1, *cols, self.m), dtype=np.intp) + 1
-        factor, ratio = kernels.cholesky(self.bordered[idx][:, idx], -1)
+        factor, ratio = cholesky(self.bordered[idx][:, idx], -1)
         if ratio <= RANK_TOL:
             return math.inf, ratio, None
         w = factor[-1, :-1]

@@ -8,6 +8,7 @@ every method cell consumes the identical datasets.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -110,6 +111,10 @@ class SettingConfig:
             )
         if self.n_active_quads > self.n_active_mains:
             raise InvalidConfigError("more active quadratics than parent mains")
+        for name in ("coef_main", "coef_inter", "coef_quad", "sigma", "printed_snr"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value!r}")
         if self.sigma <= 0:
             raise InvalidConfigError("sigma must be positive")
         for n_name in ("n_train", "n_valid", "n_test"):
@@ -125,6 +130,11 @@ class SettingConfig:
             )
         if self.estimator not in (MEAN_SD, MEDIAN_IQR):
             raise InvalidConfigError(f"unknown estimator {self.estimator!r}")
+        # metrics.snr divides by sigma**2, which for a tiny sigma is 0 or too
+        # small for a finite SNR (and cannot underflow for sigma >= 1).
+        if self.sigma < 1.0 and not (self.sigma**2 > 0.0 and math.isfinite(
+                snr(build_truth(self), self.x_distribution).value)):
+            raise InvalidConfigError(f"sigma {self.sigma!r} gives a non-finite exact SNR")
 
 
 def _table1(name, a, coef2, sig, printed):

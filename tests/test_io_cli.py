@@ -281,6 +281,42 @@ class TestSimulateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
         assert [p.name for p in (tmp_path / "in").iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sigma", 1e-300, "sigma 1e-300 gives a non-finite exact SNR"),
+        ("sigma", 1e-160, "sigma 1e-160 gives a non-finite exact SNR"),
+        ("sigma", float("nan"), "sigma must be finite, got nan"),
+        ("sigma", float("inf"), "sigma must be finite, got inf"),
+        ("coef_main", float("nan"), "coef_main must be finite, got nan"),
+        ("coef_quad", float("-inf"), "coef_quad must be finite, got -inf"),
+        ("printed_snr", float("nan"), "printed_snr must be finite, got nan"),
+    ])
+    def test_non_finite_noise_or_coefficient_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                     field, value, message):
+        monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: pytest.fail("campaign ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p": 3, "replicates": 1, field: value}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,seed", [([], 5), (["--seed", "3"], 3)])
+    def test_config_master_seed_unless_seed_given(self, tmp_path, monkeypatch, flag, seed):
+        seeds = []
+        run = cli.run_campaign
+        monkeypatch.setattr(cli, "run_campaign",
+                            lambda cfg, **k: (seeds.append(cfg.master_seed), run(cfg, **k))[1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p": 2, "n_active_mains": 2, "n_active_inters": 1,
+                                        "n_active_quads": 1, "n_train": 40, "n_valid": 40,
+                                        "n_test": 50, "replicates": 1, "master_seed": 5}))
+        assert main(["simulate", "--config", str(cfg_path), "--methods", "stepwise",
+                     "--schemes", "regular", "--out-dir", str(tmp_path), *flag]) == 0
+        assert seeds == [seed]
+        report = json.loads((tmp_path / "custom.report.json").read_text())
+        manifest = json.loads((tmp_path / "custom.manifest.json").read_text())
+        assert report["config"]["master_seed"] == manifest["master_seed"] == seed
+
     def test_bad_method_exit_2(self, capsys):
         rc = main(["simulate", "--preset", "setting1", "--methods", "ridge"])
         assert rc == 2
@@ -706,7 +742,9 @@ class TestMalformedJson:
     exits 2 with a message; it neither raises nor runs."""
 
     @pytest.mark.parametrize("doc", [{}, [1, 2], {"config": {"name": "x"}},
-                                     {"config": {}, "cells": []}, {"config": "x", "cells": []}])
+                                     {"config": {}, "cells": []}, {"config": "x", "cells": []},
+                                     {"config": {"name": None}, "cells": []},
+                                     {"config": {"name": 5}, "cells": []}])
     def test_report_without_name_or_cells(self, tmp_path, capsys, doc):
         path = tmp_path / "r.json"
         path.write_text(json.dumps(doc))

@@ -461,9 +461,9 @@ class TestFaceUpdates:
 
     def test_a_one_column_change_factors_nothing(self, monkeypatch):
         factored, changes = [], []
-        cholesky, inv, fit = kernels.cholesky, np.linalg.inv, kernels.Face.fit
-        monkeypatch.setattr(kernels, "cholesky", lambda *a: (factored.append(1), cholesky(*a))[1])
-        monkeypatch.setattr(np.linalg, "inv", lambda *a: (factored.append(1), inv(*a))[1])
+        factor, fit = kernels.Face.factor, kernels.Face.fit
+        monkeypatch.setattr(kernels.Face, "factor",
+                            lambda face, active: (factored.append(1), factor(face, active))[1])
 
         def counted(face, signs):
             before, calls = set(face.free) | set(face.held), len(factored)
@@ -508,23 +508,34 @@ class TestDefaultTerms:
         assert len({id(f.coefs.terms) for f in fits}) == 1
 
 
-class TestPivotedCholesky:
-    def test_keeps_an_independent_set_of_a_rank_deficient_block(self):
+class TestFaceFactor:
+    def test_holds_the_dependent_columns_of_a_rank_deficient_block(self):
         rng = np.random.default_rng(62)
         a, b, c = rng.standard_normal((3, 50))
         X = np.column_stack([a, b, a, a + b, c])
-        gram = X.T @ X / 50
-        assert kernels.cholesky(gram)[1] <= kernels.RANK_TOL
-        keep, drop = kernels.pivoted_cholesky(gram)
-        assert len(keep) == 3 and sorted(np.r_[keep, drop].tolist()) == list(range(5))
-        # In pivot order the kept block factors with every ratio above RANK_TOL.
-        factor, ratio = kernels.cholesky(gram[np.ix_(keep, keep)])
-        assert factor is not None and ratio > kernels.RANK_TOL
+        face = kernels.Face(X.T @ X / 50)
+        face.factor(np.arange(5))
+        assert face.free.tolist() == [0, 1, 4] and face.held.tolist() == [2, 3]
+        exact = np.linalg.inv(face.gram[np.ix_(face.free, face.free)])
+        np.testing.assert_allclose(face.inv, exact, rtol=1e-10, atol=1e-12)
         # Each held column is a combination of the kept ones.
-        coef = np.linalg.lstsq(X[:, keep], X[:, drop], rcond=None)[0]
-        np.testing.assert_allclose(X[:, keep] @ coef, X[:, drop], atol=1e-10)
+        kept, held = X[:, face.free], X[:, face.held]
+        coef = np.linalg.lstsq(kept, held, rcond=None)[0]
+        np.testing.assert_allclose(kept @ coef, held, atol=1e-10)
 
-    def test_a_full_rank_block_keeps_every_column(self):
+    def test_a_full_rank_block_holds_nothing(self):
         x = np.random.default_rng(63).standard_normal((40, 6))
-        keep, drop = kernels.pivoted_cholesky(x.T @ x)
-        assert sorted(keep.tolist()) == list(range(6)) and drop.size == 0
+        face = kernels.Face(x.T @ x)
+        face.factor(np.arange(6))
+        assert face.free.tolist() == list(range(6)) and face.held.size == 0
+        np.testing.assert_allclose(face.inv, np.linalg.inv(face.gram), rtol=1e-10, atol=1e-12)
+
+    def test_a_change_frees_a_held_column(self):
+        x = np.random.default_rng(64).standard_normal((30, 3))
+        X = np.column_stack([x, x[:, 0]])
+        face = kernels.Face(X.T @ X / 30)
+        face.fit(np.array([1.0, 0.0, 0.0, 1.0]))
+        assert face.free.tolist() == [0] and face.held.tolist() == [3]
+        face.fit(np.array([0.0, 0.0, 0.0, 1.0]))
+        assert face.free.tolist() == [3] and face.held.size == 0
+        np.testing.assert_allclose(face.inv, [[1.0 / face.gram[3, 3]]], rtol=1e-15)
