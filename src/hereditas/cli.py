@@ -191,17 +191,15 @@ def cmd_simulate(args) -> int:
     stem = cfg.name
     json_path = os.path.join(args.out_dir, f"{stem}.report.json")
     tsv_path = os.path.join(args.out_dir, f"{stem}.report.tsv")
-    atomic_write_text(json_path, dump_json(to_json(report)))
-    atomic_write_text(tsv_path, campaign_tsv(report))
+    doc, tsv = dump_json(to_json(report)), campaign_tsv(report)
+    atomic_write_text(json_path, doc)
+    atomic_write_text(tsv_path, tsv)
     run_config = {"config": to_json(cfg), "cells": cells, **option_docs}
     _write_manifest(args.out_dir, args.command_line, run_config, cfg.master_seed,
                     started, [json_path, tsv_path], stem)
 
     print(snr_summary(report))
-    if args.format == "tsv":
-        sys.stdout.write(campaign_tsv(report))
-    else:
-        sys.stdout.write(dump_json(to_json(report)))
+    sys.stdout.write(tsv if args.format == "tsv" else doc)
     return 0
 
 

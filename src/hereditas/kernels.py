@@ -35,7 +35,8 @@ joining column's Schur complement ``s = G_jj - u' G_AA^-1 u`` over ``G_jj``
 is its pivot ratio, so it is the column's rank test.  While a column is
 held, a change builds the face again by bordering from the empty one, and so
 does a solved face that still leaves an active violation, which means the
-updated inverse has drifted.
+updated inverse has drifted.  Most steps leave the working set as it was;
+the face keeps its mask, so such a step costs it one comparison.
 
 The guards:
 
@@ -75,7 +76,8 @@ class Face:
     passes it to every ``cd_solve`` call.  ``free`` and ``held`` split the
     working set by the rank test, ``inv`` is the inverse of ``G_FF`` in the
     order of ``free``, and ``fresh`` says that ``inv`` was built by
-    ``factor`` rather than updated.
+    ``factor`` rather than updated.  ``mask`` marks the working set (free and
+    held), and ``fit`` on an unchanged working set returns at once.
     """
 
     def __init__(self, gram):
@@ -86,18 +88,19 @@ class Face:
         """Make this the face of the nonzero entries of ``signs``: downdate
         each column that left, then border each one that joined.  While a
         column is held, any change builds the face again, so that a held
-        column can become free."""
-        was = np.zeros(len(signs), dtype=bool)
-        was[self.free] = was[self.held] = True
+        column can become free.  An unchanged working set returns at once."""
         now = signs != 0.0
-        joined, left = np.flatnonzero(now & ~was).tolist(), np.flatnonzero(was & ~now).tolist()
-        if self.held.size and (joined or left):
+        changed = now != self.mask
+        if not changed.any():
+            return
+        if self.held.size:
             self.factor(np.flatnonzero(now).tolist())
             return
-        for j in left:
+        for j in np.flatnonzero(changed & self.mask).tolist():
             self._downdate(j)
-        for j in joined:
+        for j in np.flatnonzero(changed & now).tolist():
             self._border(j)
+        self.mask = now
 
     def factor(self, active):
         """Build the face of ``active`` (ascending) from the empty one by
@@ -105,6 +108,8 @@ class Face:
         column by column, with the columns that fail it held."""
         self.free = self.held = np.empty(0, dtype=np.intp)
         self.inv = np.empty((0, 0))
+        self.mask = np.zeros(len(self.gram), dtype=bool)
+        self.mask[active] = True
         for j in active:
             self._border(j)
         self.fresh = True
@@ -128,7 +133,7 @@ class Face:
     def _downdate(self, j):
         """Remove column j from ``free``."""
         keep = self.free != j
-        p = int(np.argmin(keep))
+        p = int(keep.argmin())
         e = self.inv[keep, p]
         self.inv = self.inv[keep][:, keep] - np.multiply.outer(e, e / self.inv[p, p])
         self.free, self.fresh = self.free[keep], False
@@ -155,20 +160,21 @@ def cd_solve(XT, c, b, col_nrm2, lam, kkt_tol, max_iter, face):
     and whether the KKT check passed.
     """
     signs = np.sign(b)
+    live = col_nrm2 > 0.0
     # solved says that b minimizes the objective on the face of signs (b = 0
     # on the empty face).
     solved = not signs.any()
     passes = 0
     while True:
         g = c - face.gram @ b
-        active, inactive = kkt_violations(g, b, col_nrm2, lam)
+        active, inactive = _violations(g, b, live, lam)
         converged = max(active, inactive) <= kkt_tol
         if converged or passes == max_iter:
             break
         passes += 1
         if solved and active <= kkt_tol:
-            out = np.where((col_nrm2 > 0.0) & (b == 0.0), np.abs(g), -np.inf)
-            join = [int(np.argmax(out))] if lam > 0.0 else np.flatnonzero(out > kkt_tol)
+            out = np.where(live & (b == 0.0), np.abs(g), -np.inf)
+            join = [int(out.argmax())] if lam > 0.0 else np.flatnonzero(out > kkt_tol)
             signs[join] = np.sign(g[join])
         elif solved and not face.fresh:
             face.factor(np.flatnonzero(signs))  # the updated inverse drifted
@@ -215,7 +221,7 @@ def _exact_step(XT, g, b, signs, lam, kkt_tol, face):
     lines[free] = -(face.inv @ gram[np.ix_(free, held)])
     lines[held, np.arange(len(held))] = 1.0
     slopes = (g - gram @ step) @ lines - lam * (signs @ lines)
-    i = int(np.argmax(np.abs(slopes)))
+    i = int(np.abs(slopes).argmax())
     k, line, slope = held[i], lines[:, i], slopes[i]
     if not abs(slope) > kkt_tol:
         return False, True
@@ -236,10 +242,10 @@ def _move(b, step, t_max, lam):
     With lam == 0 the objective has no kinks, and a sign may change."""
     t, edge = t_max, None
     if lam > 0.0:
-        shrink = np.flatnonzero(step * b < 0.0)
+        shrink = (step * b < 0.0).nonzero()[0]
         if shrink.size:
             reach = -b[shrink] / step[shrink]
-            i = int(np.argmin(reach))
+            i = int(reach.argmin())
             if reach[i] <= t_max:
                 t, edge = reach[i], shrink[i]
     if not np.isfinite(t):
@@ -255,8 +261,10 @@ def kkt_violations(g, b, col_nrm2, lam):
     """Largest KKT violations (active, inactive) of b, given the gradient
     g = X'(y - X b)/n: |g_j - lam * sign(b_j)| over live nonzero
     coefficients, and |g_j| - lam, floored at zero, over live zero ones."""
-    live = col_nrm2 > 0.0
-    active = live & (b != 0.0)
-    inactive = live & (b == 0.0)
-    return (float(np.max(np.abs(g[active] - lam * np.sign(b[active])), initial=0.0)),
-            float(np.max(np.abs(g[inactive]) - lam, initial=0.0)))
+    return _violations(g, b, col_nrm2 > 0.0, lam)
+
+
+def _violations(g, b, live, lam):
+    active, inactive = live & (b != 0.0), live & (b == 0.0)
+    return (float(np.abs(g[active] - lam * np.sign(b[active])).max(initial=0.0)),
+            float((np.abs(g[inactive]) - lam).max(initial=0.0)))

@@ -150,8 +150,8 @@ def _powers(t: TermId) -> Counter:
     return Counter((t.i, t.j) if t.kind == INTER else (t.i,) * (2 if t.kind == QUAD else 1))
 
 
-def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> SnrEstimate:
-    """Signal-to-noise ratio Var(signal)/sigma^2 for i.i.d. main effects, exact.
+def signal_moments(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> tuple[float, float]:
+    """Mean and variance of the signal for i.i.d. main effects, exact.
 
     Every term is a product of at most two independent mains, so
     Var(signal) = sum_t sum_u v_t v_u (E[tu] - E[t]E[u]) needs only the raw
@@ -172,7 +172,12 @@ def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> SnrEstimate:
     for pt, vt in terms:
         for pu, vu in terms:
             var += vt * vu * (mean(pt + pu) - mean(pt) * mean(pu))
-    return SnrEstimate(var / truth.sigma**2, None, "analytic")
+    return sum(vt * mean(pt) for pt, vt in terms), var
+
+
+def snr(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> SnrEstimate:
+    """Signal-to-noise ratio Var(signal)/sigma^2, exact (``signal_moments``)."""
+    return SnrEstimate(signal_moments(truth, distribution)[1] / truth.sigma**2, None, "analytic")
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,10 @@ def aggregate(values: Iterable[float | None]) -> AggregateStat | None:
     xs = np.asarray([v for v in values if v is not None], dtype=np.float64)
     if xs.size == 0:
         return None
-    se = float(np.std(xs, ddof=1) / math.sqrt(xs.size)) if xs.size > 1 else 0.0
-    return AggregateStat(float(xs.mean()), float(np.median(xs)), se, int(xs.size))
+    se = float(xs.std(ddof=1) / math.sqrt(xs.size)) if xs.size > 1 else 0.0
+    s, h = np.sort(xs), xs.size // 2  # np.median's arithmetic, without importing numpy.ma
+    median = s[-1] if np.isnan(s[-1]) else s[h] if xs.size % 2 else (s[h - 1] + s[h]) / 2
+    return AggregateStat(float(xs.mean()), float(median), se, int(xs.size))
 
 
 @dataclass(frozen=True)

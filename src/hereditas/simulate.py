@@ -19,6 +19,7 @@ from .errors import InvalidConfigError, UnsupportedDistributionError
 from .io import to_json
 from .metrics import (
     LOGNORMAL01,
+    MOMENTS,
     STANDARD_NORMAL,
     TERM_CLASSES,
     AggregateStat,
@@ -29,6 +30,7 @@ from .metrics import (
     draw_mains,
     mse,
     score_selection,
+    signal_moments,
     snr,
 )
 from .selectors import (
@@ -64,6 +66,11 @@ REGULAR = "regular"
 SCHEMES = (HIERARCHICAL, REGULAR)
 
 DEFAULT_CELLS = tuple((m, s) for m in METHODS for s in SCHEMES)
+
+# The factor of the float range a setting leaves between its expected sum of
+# squared responses over its largest split and overflow: room for draws above
+# their mean, and for the sums built on them (y'y, the RSS, the test MSE).
+HEADROOM = 1e3
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,28 @@ class SettingConfig:
         if self.sigma < 1.0 and not (self.sigma**2 > 0.0 and math.isfinite(
                 snr(build_truth(self), self.x_distribution).value)):
             raise InvalidConfigError(f"sigma {self.sigma!r} gives a non-finite exact SNR")
+        # n * E[y^2] = n * (sigma^2 + E[signal^2]) must stay HEADROOM below the
+        # float range.  sigma * sigma, as sigma**2 raises OverflowError.
+        n = max(self.n_train, self.n_valid, self.n_test)
+        noise = self.sigma * self.sigma
+        if not math.isfinite(HEADROOM * n * noise):
+            raise InvalidConfigError(f"sigma {self.sigma!r} is too large: {n} squared "
+                                     f"responses come within a factor {HEADROOM:g} of overflow")
+        # Over k active terms of coefficients at most c in size, E[signal^2] <=
+        # (k c)^2 E[X^4].  The exact moments take about a millisecond and every
+        # preset is built at import, so they are computed only past that bound.
+        kc = (self.n_active_mains + self.extra_active_mains + self.n_active_inters
+              + self.n_active_quads) * max(abs(self.coef_main), abs(self.coef_inter),
+                                           abs(self.coef_quad))
+        if not math.isfinite(HEADROOM * n * (noise + kc * kc * MOMENTS[self.x_distribution][4])):
+            truth = build_truth(self)
+            mean, var = signal_moments(truth, self.x_distribution)
+            if not math.isfinite(HEADROOM * n * (noise + mean * mean + var)):
+                kind = max(truth.active_coefs.items(), key=lambda tv: abs(tv[1]))[0].kind
+                field = f"coef_{kind}"
+                raise InvalidConfigError(
+                    f"{field} {getattr(self, field)!r} is too large: {n} squared "
+                    f"responses come within a factor {HEADROOM:g} of overflow")
 
 
 def _table1(name, a, coef2, sig, printed):

@@ -210,6 +210,27 @@ def test_cli_import_leaves_the_pool_unloaded_and_freezes_the_heap():
     assert out.strip() == "[] True"
 
 
+def test_one_worker_simulate_loads_no_masked_arrays_or_pool(tmp_path):
+    # A one-worker campaign imports what its draws need and nothing for its
+    # medians or a pool.  Modules are compared before and after the command,
+    # because numpy 1.x imports numpy.ma with numpy itself.
+    code = ("import contextlib, io, sys\n"
+            "from hereditas.cli import main\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             for p in ('numpy.ma', 'multiprocessing', 'concurrent.futures')\n"
+            "             if m == p or m.startswith(p + '.')))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hereditas.__file__))}
+    out = subprocess.run([sys.executable, "-c", code, "simulate", "--preset", "setting1",
+                          "--replicates", "1", "--threads", "1", "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "setting1.report.json").exists()
+
+
 ENTRY = "import sys; from hereditas.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -299,6 +320,27 @@ class TestSimulateCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", 1e154), ("sigma", 1e200), ("coef_main", 1e200), ("coef_quad", 1e160),
+        ("coef_inter", -1e200),
+    ])
+    def test_huge_noise_or_coefficient_exit_2(self, tmp_path, capsys, monkeypatch,
+                                              field, value):
+        monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: pytest.fail("campaign ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p": 3, "replicates": 1, field: value}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{field} {value!r} is too large" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["sigma", "coef_main"])
+    def test_large_noise_or_coefficient_still_runs(self, tmp_path, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p": 3, "replicates": 1, field: 1e150}))
+        assert main(["simulate", "--config", str(cfg_path), "--methods", "lasso",
+                     "--schemes", "hierarchical", "--out-dir", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("flag,seed", [([], 5), (["--seed", "3"], 3)])
     def test_config_master_seed_unless_seed_given(self, tmp_path, monkeypatch, flag, seed):

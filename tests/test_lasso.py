@@ -539,3 +539,44 @@ class TestFaceFactor:
         face.fit(np.array([0.0, 0.0, 0.0, 1.0]))
         assert face.free.tolist() == [3] and face.held.size == 0
         np.testing.assert_allclose(face.inv, [[1.0 / face.gram[3, 3]]], rtol=1e-15)
+
+
+class TestFaceMask:
+    """On exact duplicates and n < m, where columns are held, the mask is
+    the working set after every change, and an unchanged working set
+    changes nothing."""
+
+    def test_mask_is_free_and_held(self, monkeypatch):
+        seen = {"held": 0, "unchanged": 0}
+        factor, fit = kernels.Face.factor, kernels.Face.fit
+
+        def check(face):
+            mask = np.zeros(len(face.gram), dtype=bool)
+            mask[face.free] = mask[face.held] = True
+            np.testing.assert_array_equal(face.mask, mask)
+            seen["held"] += face.held.size > 0
+
+        def checked_factor(face, active):
+            factor(face, active)
+            check(face)
+
+        def checked_fit(face, signs):
+            before = (face.inv, face.free, face.held, face.fresh)
+            unchanged = np.array_equal(face.mask, signs != 0.0)
+            fit(face, signs)
+            check(face)
+            np.testing.assert_array_equal(face.mask, signs != 0.0)
+            if unchanged:
+                seen["unchanged"] += 1
+                assert all(a is b for a, b in zip(before[:3], (face.inv, face.free, face.held)))
+                assert face.fresh == before[3]
+
+        monkeypatch.setattr(kernels.Face, "factor", checked_factor)
+        monkeypatch.setattr(kernels.Face, "fit", checked_fit)
+        opts = LassoOptions(n_lambda=30, max_iter=2000)
+        for kind in ("duplicate", "wide"):
+            for seed in range(12):
+                X, y, _ = lasso_design(kind, seed)
+                lambdas = np.append(_lambda_grid(_prepare(X, y, True), opts), 0.0)
+                fit_lasso_path(X, y, opts, lambdas=lambdas)
+        assert seen["held"] > 0 and seen["unchanged"] > 0

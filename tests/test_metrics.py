@@ -177,6 +177,19 @@ class TestAggregate:
     def test_all_absent(self):
         assert aggregate([None, None]) is None
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 31, 50])
+    def test_median_is_numpys_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            x = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+            agg = aggregate([None, *x.tolist(), None])
+            assert np.float64(agg.median).tobytes() == np.median(x).tobytes()
+            assert agg.mean == float(x.mean()) and agg.n == size
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan], [3.0, np.nan, 1.0]])
+    def test_a_nan_gives_a_nan_median(self, values):
+        assert np.isnan(aggregate(values).median)
+
 
 class TestTruthSpec:
     def test_rejects_zero_coefficient(self):
