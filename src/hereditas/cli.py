@@ -32,13 +32,14 @@ from .io import (
 )
 from .metrics import AggregateStat, mse
 from .report import campaign_tsv, multi_report_tsv, snr_summary
-from .selectors import LassoOptions, StepwiseOptions
+from .selectors import LassoOptions
 from .simulate import (
     HIERARCHICAL,
     LASSO,
     METHODS,
     PRESETS,
     SCHEMES,
+    SELECTORS,
     SettingConfig,
     fit_pipeline,
     preset,
@@ -55,10 +56,9 @@ def _now() -> str:
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     """The options of the commands that select models: simulate and fit."""
-    p.add_argument("--lasso-options", default=None, metavar="JSON",
-                   help="path to a JSON file of lasso solver options")
-    p.add_argument("--stepwise-options", default=None, metavar="JSON",
-                   help="path to a JSON file of stepwise options")
+    for method in METHODS:
+        p.add_argument(f"--{method}-options", default=None, metavar="JSON",
+                       help=f"path to a JSON file of {method} options")
     _add_out_dir(p)
     _add_format(p)
 
@@ -72,13 +72,12 @@ def _read_json(path):
 
 
 def _load_selector_options(args):
-    """The parsed option files and the JSON documents they hold (None when not given)."""
-    lasso = _read_json(args.lasso_options)
-    stepwise = _read_json(args.stepwise_options)
-    return (None if lasso is None else from_json_fields(LassoOptions, lasso, "lasso option"),
-            None if stepwise is None else from_json_fields(StepwiseOptions, stepwise,
-                                                           "stepwise option"),
-            {"lasso_options": lasso, "stepwise_options": stepwise})
+    """The options of each method whose --<method>-options file is given, and
+    the manifest's {"<method>_options": the file's JSON document, or None}."""
+    docs = {f"{m}_options": _read_json(getattr(args, f"{m}_options")) for m in SELECTORS}
+    options = {m: from_json_fields(cls, docs[f"{m}_options"], f"{m} option")
+               for m, (cls, _) in SELECTORS.items() if docs[f"{m}_options"] is not None}
+    return options, docs
 
 
 def _add_out_dir(p: argparse.ArgumentParser) -> None:
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="path to a SettingConfig JSON file")
     sim.add_argument("--replicates", type=int, default=None, help="override replicate count")
     sim.add_argument("--methods", default=",".join(METHODS),
-                     help="comma list among lasso,stepwise")
+                     help=f"comma list among {','.join(METHODS)}")
     sim.add_argument("--schemes", default=",".join(SCHEMES),
                      help="comma list among hierarchical,regular")
     sim.add_argument("--threads", type=int, default=1, help="replicate worker processes")
@@ -182,10 +181,9 @@ def cmd_simulate(args) -> int:
     cfg = replace(cfg, master_seed=seed, replicates=replicates)
     cells = tuple((m, s) for m in _parse_list(args.methods, METHODS, "method")
                   for s in _parse_list(args.schemes, SCHEMES, "scheme"))
-    lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
+    options, option_docs = _load_selector_options(args)
 
-    report = run_campaign(cfg, cells=cells, threads=args.threads,
-                          lasso_opts=lasso_opts, stepwise_opts=stepwise_opts)
+    report = run_campaign(cfg, cells=cells, threads=args.threads, options=options)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = cfg.name
@@ -239,25 +237,18 @@ def cmd_fit(args) -> int:
     mains, y_all = _split_response(read_table(args.data), args.response)
     x_all = mains.data
     n = x_all.shape[0]
-    ratios = _parse_split(args.split)
-    n_tr, n_va, n_te = split_sizes(n, ratios)
+    n_tr, n_va, n_te = split_sizes(n, _parse_split(args.split))
     if min(n_tr, n_va, n_te) < 2:
         raise InvalidConfigError(f"n={n} is too small for a {args.split} split")
 
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(n)
-    idx_tr = order[:n_tr]
-    idx_va = order[n_tr:n_tr + n_va]
-    idx_te = order[n_tr + n_va:]
-
+    order = np.random.default_rng(args.seed).permutation(n)
+    train, valid, (x_te, y_te) = ((x_all[idx], y_all[idx])
+                                  for idx in np.split(order, [n_tr, n_tr + n_va]))
     terms = canonical_terms(x_all.shape[1])
-    x_tr, y_tr = x_all[idx_tr], y_all[idx_tr]
-    x_va, y_va = x_all[idx_va], y_all[idx_va]
-    x_te, y_te = x_all[idx_te], y_all[idx_te]
 
-    lasso_opts, stepwise_opts, option_docs = _load_selector_options(args)
-    fitted = fit_pipeline((x_tr, y_tr), (x_va, y_va), terms, args.method, args.scheme,
-                          args.estimator, lasso_opts, stepwise_opts)
+    options, option_docs = _load_selector_options(args)
+    fitted = fit_pipeline(train, valid, terms, args.method, args.scheme, args.estimator,
+                          options)
     raw, fit, tuned = fitted.raw_coefs, fitted.fit, fitted.tuned
     if tuned is not None:
         tuning = {"lambda": tuned.best_lambda, "path": to_json(tuned)}
@@ -297,7 +288,7 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         if tuned is not None:
             why = (f"the lasso at the chosen lambda (index {tuned.best_index}) reached "
-                   f"max_iter={(lasso_opts or LassoOptions()).max_iter} passes")
+                   f"max_iter={options.get(LASSO, LassoOptions()).max_iter} passes")
         else:
             why = "max_selected hid an improving stepwise addition"
         print(f"warning: the fit did not converge: {why}", file=sys.stderr)

@@ -190,15 +190,37 @@ class AggregateStat:
     n: int
 
 
+def median_quartiles(x: np.ndarray) -> tuple[float, float, float]:
+    """np.median(x) and np.quantile(x, [0.25, 0.75]) (type-7 linear
+    interpolation) of a nonempty 1-d array, from one sorted copy: numpy's
+    first median or quantile imports numpy.ma.  Bit for bit, except that a
+    zero quartile may carry the other sign when x holds both zeros (numpy's
+    partition order decides it); their difference does not.  A NaN in x
+    makes all three NaN."""
+    s, n, h = np.sort(x), x.size, x.size // 2
+    if np.isnan(s[-1]):
+        return (float(s[-1]),) * 3
+    # np.median is the mean of the middle one or two values, a sum from +0.0.
+    median = 0.0 + s[h] if n % 2 else (0.0 + s[h - 1] + s[h]) / 2
+
+    def quantile(q):  # numpy's lerp runs from the nearer end; one value is itself
+        v = (n - 1) * q
+        i = int(v)
+        if i + 1 == n:
+            return float(s[i])
+        t, a, b = v - i, s[i], s[i + 1]
+        return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+    return float(median), quantile(0.25), quantile(0.75)
+
+
 def aggregate(values: Iterable[float | None]) -> AggregateStat | None:
     """Aggregate per-replicate values, skipping absent entries."""
     xs = np.asarray([v for v in values if v is not None], dtype=np.float64)
     if xs.size == 0:
         return None
     se = float(xs.std(ddof=1) / math.sqrt(xs.size)) if xs.size > 1 else 0.0
-    s, h = np.sort(xs), xs.size // 2  # np.median's arithmetic, without importing numpy.ma
-    median = s[-1] if np.isnan(s[-1]) else s[h] if xs.size % 2 else (s[h - 1] + s[h]) / 2
-    return AggregateStat(float(xs.mean()), float(median), se, int(xs.size))
+    return AggregateStat(float(xs.mean()), median_quartiles(xs)[0], se, int(xs.size))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,22 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.4f}"
 
 
+def _table(columns: list[tuple[str, dict]]) -> str:
+    """Metric-by-stat rows, one column per (label, JSON aggregates of a cell)."""
+    lines = ["\t".join(["metric", "stat"] + [label for label, _ in columns])]
+    for metric in REPORT_METRICS:
+        for stat in _STATS:
+            row = [metric, stat]
+            for _, aggs in columns:
+                agg = aggs.get(metric)
+                row.append(_fmt(None if agg is None else agg[stat]))
+            lines.append("\t".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def campaign_tsv(report: CampaignReport) -> str:
-    """Cells as columns; metric-by-stat rows."""
-    return multi_report_tsv([to_json(report)])
+    """Cells as columns; encodes only the cells' aggregates, not the report."""
+    return _table([(f"{c.method}/{c.scheme}", to_json(c.aggregates)) for c in report.cells])
 
 
 def multi_report_tsv(docs: list[dict]) -> str:
@@ -34,15 +47,7 @@ def multi_report_tsv(docs: list[dict]) -> str:
             name = f"{cell['method']}/{cell['scheme']}"
             label = f"{setting}:{name}" if len(docs) > 1 else name
             columns.append((label, cell["aggregates"]))
-    lines = ["\t".join(["metric", "stat"] + [label for label, _ in columns])]
-    for metric in REPORT_METRICS:
-        for stat in _STATS:
-            row = [metric, stat]
-            for _, aggs in columns:
-                agg = aggs.get(metric)
-                row.append(_fmt(None if agg is None else agg[stat]))
-            lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+    return _table(columns)
 
 
 def snr_summary(report: CampaignReport) -> str:

@@ -4,6 +4,10 @@ Data are generated from the second-order model with independent mains;
 one master seed spawns an independent stream per replicate (SeedSequence
 entropy [master_seed, replicate]), so replicates can run concurrently and
 every method cell consumes the identical datasets.
+
+Selection methods plug in through one table, ``SELECTORS`` (method name ->
+options dataclass and select step); the pipelines and campaigns take one
+``options`` mapping from method name to options object.
 """
 
 from __future__ import annotations
@@ -59,7 +63,23 @@ from .terms import TermSet, canonical_terms, expand, inter, main, quad
 
 LASSO = "lasso"
 STEPWISE = "stepwise"
-METHODS = (LASSO, STEPWISE)
+
+
+def _lasso(z_tr, y_tr, valid, apply_params, terms, tag, opts):
+    x_va, y_va = valid
+    tuned = tune_lasso((z_tr, y_tr), (apply_params(x_va), y_va), opts, terms, tag)
+    return tuned.fit, tuned
+
+
+def _stepwise(z_tr, y_tr, _valid, _apply_params, terms, tag, opts):
+    return stepwise_aic(z_tr, y_tr, opts, terms, tag), None
+
+
+# Method name -> (options dataclass, select step).  A step maps the standardized training
+# split, the raw validation split, the training standardization, terms, scale tag and options
+# (None: defaults) to (fit, TunedLasso or None), looking its selector up at call time (patchable).
+SELECTORS = {LASSO: (LassoOptions, _lasso), STEPWISE: (StepwiseOptions, _stepwise)}
+METHODS = tuple(SELECTORS)
 
 HIERARCHICAL = "hierarchical"
 REGULAR = "regular"
@@ -298,28 +318,22 @@ class FittedPipeline(NamedTuple):
 
 
 def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
-                 estimator: str = MEAN_SD,
-                 lasso_opts: LassoOptions | None = None,
-                 stepwise_opts: StepwiseOptions | None = None) -> FittedPipeline:
+                 estimator: str = MEAN_SD, options: dict | None = None) -> FittedPipeline:
     """Standardize -> select -> back-transform on (raw design, y) pairs.
 
-    Parameters are fitted on the training split.  The validation split tunes
-    lambda for the lasso and is standardized only then; stepwise does not
-    read it.
+    Parameters are fitted on the training split; only a method that tunes on
+    the validation split (the lasso) reads it.  ``options`` maps a method
+    name to its options; a method it does not name runs its defaults.
     """
-    if method not in METHODS:
-        raise InvalidConfigError(f"unknown method {method!r}")
+    for name in (method, *(options or ())):  # a misspelt options key fails, not runs defaults
+        if name not in SELECTORS:
+            raise InvalidConfigError(f"unknown method {name!r}")
     if scheme not in SCHEMES:
         raise InvalidConfigError(f"unknown scheme {scheme!r}")
     x_tr, y_tr = train
     z_tr, params, tag, apply_params = standardize_train(x_tr, terms, scheme, estimator)
-    tuned = None
-    if method == LASSO:
-        x_va, y_va = valid
-        tuned = tune_lasso((z_tr, y_tr), (apply_params(x_va), y_va), lasso_opts, terms, tag)
-        fit = tuned.fit
-    else:
-        fit = stepwise_aic(z_tr, y_tr, stepwise_opts, terms, tag)
+    select = SELECTORS[method][1]
+    fit, tuned = select(z_tr, y_tr, valid, apply_params, terms, tag, (options or {}).get(method))
 
     if scheme == HIERARCHICAL:
         raw = back_transform_hierarchical(fit.coefs, params, terms)
@@ -329,12 +343,10 @@ def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
 
 
 def run_pipeline(data: ReplicateData, method: str, scheme: str,
-                 estimator: str = MEAN_SD,
-                 lasso_opts: LassoOptions | None = None,
-                 stepwise_opts: StepwiseOptions | None = None) -> ReplicateMetrics:
+                 estimator: str = MEAN_SD, options: dict | None = None) -> ReplicateMetrics:
     """fit_pipeline on a replicate's train/valid splits, scored on its test split."""
     raw = fit_pipeline(data.train, data.valid, data.truth.terms, method, scheme, estimator,
-                       lasso_opts, stepwise_opts).raw_coefs
+                       options).raw_coefs
     test_mse = mse(raw.predict(data.test_design), data.test.y)
     return score_selection(raw.selected(), data.truth, test_mse)
 
@@ -394,25 +406,22 @@ def campaign_snr(cfg: SettingConfig) -> tuple[SnrEstimate, bool]:
 
 
 def _replicate_worker(task) -> list[ReplicateMetrics]:
-    cfg, cells, lasso_opts, stepwise_opts, rep = task
+    cfg, cells, options, rep = task
     data = generate_replicate(cfg, rep)
-    return [
-        run_pipeline(data, method, scheme, cfg.estimator, lasso_opts, stepwise_opts)
-        for method, scheme in cells
-    ]
+    return [run_pipeline(data, method, scheme, cfg.estimator, options)
+            for method, scheme in cells]
 
 
 def run_campaign(cfg: SettingConfig, cells=DEFAULT_CELLS, threads: int = 1,
-                 lasso_opts: LassoOptions | None = None,
-                 stepwise_opts: StepwiseOptions | None = None) -> CampaignReport:
+                 options: dict | None = None) -> CampaignReport:
     """Run every method-by-scheme cell on identical replicate data and aggregate.
 
     Replicates are independent work units, farmed out to worker processes
     when threads > 1; results are folded in replicate order, so the report
-    is bit-identical regardless of worker count.
+    is bit-identical regardless of worker count.  ``options`` as in fit_pipeline.
     """
     cells = tuple(cells)
-    tasks = [(cfg, cells, lasso_opts, stepwise_opts, rep) for rep in range(cfg.replicates)]
+    tasks = [(cfg, cells, options, rep) for rep in range(cfg.replicates)]
     if threads > 1 and cfg.replicates > 1:
         # Imported here: a single-process run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -422,9 +431,7 @@ def run_campaign(cfg: SettingConfig, cells=DEFAULT_CELLS, threads: int = 1,
     else:
         per_rep = [_replicate_worker(t) for t in tasks]
 
-    reports = []
-    for i, (method, scheme) in enumerate(cells):
-        rows = [per_rep[rep][i] for rep in range(cfg.replicates)]
-        reports.append(_aggregate_cell(method, scheme, rows))
+    reports = tuple(_aggregate_cell(method, scheme, [rows[i] for rows in per_rep])
+                    for i, (method, scheme) in enumerate(cells))
     est, flagged = campaign_snr(cfg)
-    return CampaignReport(cfg, tuple(reports), est, flagged)
+    return CampaignReport(cfg, reports, est, flagged)

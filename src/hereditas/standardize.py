@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InconsistentParamsError, InvalidDimensionError
+from .metrics import median_quartiles
 from .terms import MAIN, QUAD, TermId, TermSet, _main_values, expand, heredity_parents, main
 
 MEAN_SD = "mean-sd"
@@ -176,9 +177,8 @@ def _column_location_scale(col: np.ndarray, estimator: str) -> tuple[float, floa
         center = float(np.mean(col))
         scale = float(_sample_sd(col)) if col.size > 1 else 0.0
     else:
-        center = float(np.median(col))
-        q1, q3 = np.quantile(col, [0.25, 0.75])  # type-7 linear interpolation
-        scale = float(q3 - q1)
+        center, q1, q3 = median_quartiles(col)
+        scale = q3 - q1
     return center, scale
 
 

@@ -16,7 +16,7 @@ from hereditas.cli import main, split_sizes
 from hereditas.errors import InvalidDimensionError
 from hereditas.io import atomic_write_text, from_json_fields, read_table, to_json
 from hereditas.selectors import LassoOptions, StepwiseOptions
-from hereditas.simulate import SettingConfig, build_truth, preset
+from hereditas.simulate import CampaignReport, SettingConfig, build_truth, preset
 from hereditas.terms import canonical_terms, expand
 
 
@@ -212,8 +212,9 @@ def test_cli_import_leaves_the_pool_unloaded_and_freezes_the_heap():
 
 def test_one_worker_simulate_loads_no_masked_arrays_or_pool(tmp_path):
     # A one-worker campaign imports what its draws need and nothing for its
-    # medians or a pool.  Modules are compared before and after the command,
-    # because numpy 1.x imports numpy.ma with numpy itself.
+    # medians, its median-IQR standardization (R3) or a pool.  Modules are
+    # compared before and after the command, because numpy 1.x imports
+    # numpy.ma with numpy itself.
     code = ("import contextlib, io, sys\n"
             "from hereditas.cli import main\n"
             "before = set(sys.modules)\n"
@@ -223,12 +224,13 @@ def test_one_worker_simulate_loads_no_masked_arrays_or_pool(tmp_path):
             "             for p in ('numpy.ma', 'multiprocessing', 'concurrent.futures')\n"
             "             if m == p or m.startswith(p + '.')))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hereditas.__file__))}
-    out = subprocess.run([sys.executable, "-c", code, "simulate", "--preset", "setting1",
-                          "--replicates", "1", "--threads", "1", "--out-dir", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
-    assert (tmp_path / "setting1.report.json").exists()
+    for name in ("setting1", "R3"):
+        out = subprocess.run([sys.executable, "-c", code, "simulate", "--preset", name,
+                              "--replicates", "1", "--threads", "1", "--out-dir", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]", name
+        assert (tmp_path / f"{name}.report.json").exists()
 
 
 ENTRY = "import sys; from hereditas.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -274,6 +276,15 @@ class TestSimulateCommand:
         assert cell["aggregates"]["msh"]["mean"] == 1.0
         assert (tmp_path / "a" / "setting1.report.tsv").exists()
         assert (tmp_path / "a" / "setting1.manifest.json").exists()
+
+    def test_report_is_encoded_once(self, tmp_path, monkeypatch):
+        # report.json and the TSV come from one encoding of the report.
+        calls = []
+        encode = CampaignReport.to_json_dict
+        monkeypatch.setattr(CampaignReport, "to_json_dict",
+                            lambda report: (calls.append(report), encode(report))[1])
+        assert main(SIM_ONE + ["--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_unknown_preset_exit_2(self, capsys):
         rc = main(["simulate", "--preset", "bogus"])
@@ -888,6 +899,23 @@ class TestManifestHash:
             (manifest,) = (tmp_path / out).glob("*.manifest.json")
             hashes.append(json.loads(manifest.read_text())["config_hash"])
         assert hashes[0] != hashes[1]
+
+    # Recorded before the selector table replaced the per-method option
+    # parameters; a renamed manifest key or a reordered document changes them.
+    @pytest.mark.parametrize("command,expected", [
+        (SIM_ONE + ["--lasso-options", "lasso.json", "--stepwise-options", "stepwise.json"],
+         "9f663018691954d1ccecbb004cec80baeaa84ecdcc157bc92db704d3b7b62743"),
+        (["fit", os.path.join(os.path.dirname(__file__), "data", "four_mains.csv"),
+          "--method", "stepwise", "--stepwise-options", "stepwise.json"],
+         "d0c12acde2779835b6867433837d6d462ffbfedb76857812559924cd9114456f"),
+    ], ids=["simulate", "fit"])
+    def test_hash_is_pinned(self, tmp_path, monkeypatch, command, expected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lasso.json").write_text(json.dumps({"n_lambda": 20, "max_iter": 500}))
+        (tmp_path / "stepwise.json").write_text(json.dumps({"max_selected": 5}))
+        assert main(command + ["--out-dir", "out"]) == 0
+        (manifest,) = (tmp_path / "out").glob("*.manifest.json")
+        assert json.loads(manifest.read_text())["config_hash"] == expected
 
 
 class TestManifestCommand:

@@ -6,6 +6,7 @@ from hereditas.metrics import (
     LOGNORMAL01,
     TruthSpec,
     aggregate,
+    median_quartiles,
     mse,
     msh,
     msh_counts,
@@ -177,14 +178,17 @@ class TestAggregate:
     def test_all_absent(self):
         assert aggregate([None, None]) is None
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 31, 50])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 31, 50, 199, 200, 201, 269])
     def test_median_is_numpys_bit_for_bit(self, size):
+        # The quartiles too: standardize's median-IQR estimator reads them.
         rng = np.random.default_rng(size)
         for _ in range(20):
             x = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
             agg = aggregate([None, *x.tolist(), None])
             assert np.float64(agg.median).tobytes() == np.median(x).tobytes()
             assert agg.mean == float(x.mean()) and agg.n == size
+            _, q1, q3 = median_quartiles(x)
+            assert np.array([q1, q3]).tobytes() == np.quantile(x, [0.25, 0.75]).tobytes()
 
     @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan], [3.0, np.nan, 1.0]])
     def test_a_nan_gives_a_nan_median(self, values):

@@ -6,6 +6,7 @@ import pytest
 
 from hereditas.errors import InvalidConfigError
 from hereditas.io import dump_json, from_json_fields, to_json
+from hereditas.selectors import LassoOptions, StepwiseOptions
 from hereditas.simulate import (
     DEFAULT_CELLS,
     HIERARCHICAL,
@@ -153,6 +154,9 @@ class TestRunPipeline:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfigError):
             run_pipeline(generate_replicate(fast_cfg(), 0), "ridge", REGULAR)
+        with pytest.raises(InvalidConfigError, match="unknown method 'Lasso'"):
+            run_pipeline(generate_replicate(fast_cfg(), 0), LASSO, REGULAR,
+                         options={"Lasso": LassoOptions(n_lambda=5)})
 
 
 class TestRunCampaign:
@@ -173,6 +177,16 @@ class TestRunCampaign:
         a = run_campaign(cfg, threads=1)
         b = run_campaign(cfg, threads=4)
         assert dump_json(to_json(a)) == dump_json(to_json(b))
+
+    def test_selector_options_reach_the_pooled_workers(self):
+        cfg = fast_cfg()
+        options = {LASSO: LassoOptions(n_lambda=5), STEPWISE: StepwiseOptions(max_selected=3)}
+        one = run_campaign(cfg, threads=1, options=options)
+        two = run_campaign(cfg, threads=2, options=options)
+        assert dump_json(to_json(one)) == dump_json(to_json(two))
+        default = run_campaign(cfg)
+        for cell in two.cells:
+            assert cell.per_replicate != default.cell(cell.method, cell.scheme).per_replicate
 
     def test_snr_cross_check_not_flagged_for_table_presets(self):
         cfg = fast_cfg()
