@@ -32,10 +32,7 @@ from .io import (
 )
 from .metrics import AggregateStat, mse
 from .report import campaign_tsv, multi_report_tsv, snr_summary
-from .selectors import LassoOptions
 from .simulate import (
-    HIERARCHICAL,
-    LASSO,
     METHODS,
     PRESETS,
     SCHEMES,
@@ -46,7 +43,7 @@ from .simulate import (
     run_campaign,
     standardize_train,
 )
-from .standardize import MEAN_SD, MEDIAN_IQR, check_heredity
+from .standardize import ESTIMATORS, MEAN_SD, check_heredity
 from .terms import canonical_terms, expand
 
 
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", default=",".join(METHODS),
                      help=f"comma list among {','.join(METHODS)}")
     sim.add_argument("--schemes", default=",".join(SCHEMES),
-                     help="comma list among hierarchical,regular")
+                     help=f"comma list among {','.join(SCHEMES)}")
     sim.add_argument("--threads", type=int, default=1, help="replicate worker processes")
     sim.add_argument("--seed", type=int, default=None,
                      help="master RNG seed (default: the setting's master_seed)")
@@ -114,17 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a selector to a CSV dataset")
     fit.add_argument("data", help="CSV file with a header row")
     fit.add_argument("--response", default="y", help="response column name")
-    fit.add_argument("--method", choices=METHODS, default=LASSO)
-    fit.add_argument("--scheme", choices=SCHEMES, default=HIERARCHICAL)
-    fit.add_argument("--estimator", choices=(MEAN_SD, MEDIAN_IQR), default=MEAN_SD)
+    fit.add_argument("--method", choices=METHODS, default=METHODS[0])
+    fit.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0])
+    fit.add_argument("--estimator", choices=ESTIMATORS, default=MEAN_SD)
     fit.add_argument("--split", default="3:1:1", help="train:valid:test ratio")
     fit.add_argument("--seed", type=int, default=0, help="master RNG seed")
     _add_run_options(fit)
 
     std = sub.add_parser("standardize", help="write the standardized expanded design")
     std.add_argument("data", help="CSV file with a header row")
-    std.add_argument("--scheme", choices=SCHEMES, default=HIERARCHICAL)
-    std.add_argument("--estimator", choices=(MEAN_SD, MEDIAN_IQR), default=MEAN_SD)
+    std.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0])
+    std.add_argument("--estimator", choices=ESTIMATORS, default=MEAN_SD)
     std.add_argument("--response", default=None,
                      help="drop this column before treating the rest as main effects")
     _add_out_dir(std)
@@ -249,15 +246,9 @@ def cmd_fit(args) -> int:
     options, option_docs = _load_selector_options(args)
     fitted = fit_pipeline(train, valid, terms, args.method, args.scheme, args.estimator,
                           options)
-    raw, fit, tuned = fitted.raw_coefs, fitted.fit, fitted.tuned
-    if tuned is not None:
-        tuning = {"lambda": tuned.best_lambda, "path": to_json(tuned)}
-    else:
-        tuning = {"aic": fit.tuning, "steps": fit.iterations, "start": fit.start}
-    test_design = expand(x_te, terms)
-
+    raw = fitted.raw_coefs
     ok, violators = check_heredity(raw)
-    test_mse = mse(raw.predict(test_design), y_te)
+    test_mse = mse(raw.predict(expand(x_te, terms)), y_te)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.method}.{args.scheme}"
@@ -272,7 +263,7 @@ def cmd_fit(args) -> int:
         "test_mse": test_mse,
         "n_selected": len(raw.selected()),
         "split_sizes": {"train": n_tr, "valid": n_va, "test": n_te},
-        "tuning": tuning,
+        "tuning": fitted.tuning,
         "standardization": to_json(fitted.params),
     }
     json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
@@ -285,13 +276,8 @@ def cmd_fit(args) -> int:
     _write_manifest(args.out_dir, args.command_line, run_config,
                     args.seed, started, [coef_path, json_path], stem)
 
-    if not fit.converged:
-        if tuned is not None:
-            why = (f"the lasso at the chosen lambda (index {tuned.best_index}) reached "
-                   f"max_iter={options.get(LASSO, LassoOptions()).max_iter} passes")
-        else:
-            why = "max_selected hid an improving stepwise addition"
-        print(f"warning: the fit did not converge: {why}", file=sys.stderr)
+    if fitted.warning is not None:
+        print(f"warning: {fitted.warning}", file=sys.stderr)
     if args.format == "json":
         sys.stdout.write(dump_json(summary))
     else:
@@ -309,7 +295,7 @@ def cmd_standardize(args) -> int:
     if args.response is not None:
         table, _ = _split_response(table, args.response)
     terms = canonical_terms(table.data.shape[1])
-    z, params, _, _ = standardize_train(table.data, terms, args.scheme, args.estimator)
+    z, params, *_ = standardize_train(table.data, terms, args.scheme, args.estimator)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.scheme}"

@@ -128,6 +128,9 @@ def _prepare(X, y, internal_standardize: bool) -> _Prepped:
         raise InvalidDimensionError("need at least 2 rows")
     x_mean = X.mean(axis=0)
     XT = np.ascontiguousarray((X - x_mean).T)
+    # A column of equal values centers to exact zeros, though its mean may
+    # round off them (0.1, or a balanced 0/1 main's standardized square).
+    XT[np.ptp(X, axis=0) == 0.0] = 0.0
     if internal_standardize:
         scale = np.sqrt(np.mean(XT * XT, axis=1))
         x_scale = np.where(scale > 0.0, scale, 1.0)

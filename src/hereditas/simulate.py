@@ -7,7 +7,8 @@ every method cell consumes the identical datasets.
 
 Selection methods plug in through one table, ``SELECTORS`` (method name ->
 options dataclass and select step); the pipelines and campaigns take one
-``options`` mapping from method name to options object.
+``options`` mapping from method name to options object.  Each step reports its
+own tuning, and ``standardize_train`` returns its scheme's back-transform.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import InvalidConfigError, UnsupportedDistributionError
 from .io import to_json
 from .metrics import (
+    DISTRIBUTIONS,
     LOGNORMAL01,
     MOMENTS,
     STANDARD_NORMAL,
@@ -41,11 +43,11 @@ from .selectors import (
     FitResult,
     LassoOptions,
     StepwiseOptions,
-    TunedLasso,
     stepwise_aic,
     tune_lasso,
 )
 from .standardize import (
+    ESTIMATORS,
     HIER_STD,
     MEAN_SD,
     MEDIAN_IQR,
@@ -68,16 +70,21 @@ STEPWISE = "stepwise"
 def _lasso(z_tr, y_tr, valid, apply_params, terms, tag, opts):
     x_va, y_va = valid
     tuned = tune_lasso((z_tr, y_tr), (apply_params(x_va), y_va), opts, terms, tag)
-    return tuned.fit, tuned
+    why = (f"the lasso at the chosen lambda (index {tuned.best_index}) reached "
+           f"max_iter={(opts or LassoOptions()).max_iter} passes")
+    return tuned.fit, {"lambda": tuned.best_lambda, "path": to_json(tuned)}, why
 
 
 def _stepwise(z_tr, y_tr, _valid, _apply_params, terms, tag, opts):
-    return stepwise_aic(z_tr, y_tr, opts, terms, tag), None
+    fit = stepwise_aic(z_tr, y_tr, opts, terms, tag)
+    tuning = {"aic": fit.tuning, "steps": fit.iterations, "start": fit.start}
+    return fit, tuning, "max_selected hid an improving stepwise addition"
 
 
 # Method name -> (options dataclass, select step).  A step maps the standardized training
 # split, the raw validation split, the training standardization, terms, scale tag and options
-# (None: defaults) to (fit, TunedLasso or None), looking its selector up at call time (patchable).
+# (None: defaults) to (fit, its fit.json "tuning" object, its reason should the fit not
+# converge), looking its selector up at call time (patchable).
 SELECTORS = {LASSO: (LassoOptions, _lasso), STEPWISE: (StepwiseOptions, _stepwise)}
 METHODS = tuple(SELECTORS)
 
@@ -151,11 +158,11 @@ class SettingConfig:
             raise InvalidConfigError("replicates must be at least 1")
         if self.master_seed < 0:
             raise InvalidConfigError("master_seed must be nonnegative")
-        if self.x_distribution not in (STANDARD_NORMAL, LOGNORMAL01):
+        if self.x_distribution not in DISTRIBUTIONS:
             raise UnsupportedDistributionError(
                 f"unknown distribution {self.x_distribution!r}"
             )
-        if self.estimator not in (MEAN_SD, MEDIAN_IQR):
+        if self.estimator not in ESTIMATORS:
             raise InvalidConfigError(f"unknown estimator {self.estimator!r}")
         # metrics.snr divides by sigma**2, which for a tiny sigma is 0 or too
         # small for a finite SNR (and cannot underflow for sigma >= 1).
@@ -295,17 +302,21 @@ def standardize_train(raw, terms: TermSet, scheme: str, estimator: str = MEAN_SD
     """Fit the scheme's parameters on the training mains and standardize them.
 
     Returns the standardized design, the parameters, the scale tag of
-    coefficients fitted on that design, and a function standardizing
-    another raw design with the same parameters.  The estimator applies to
-    the hierarchical scheme only; regular standardization is always mean/SD
-    per expanded column.
+    coefficients fitted on that design, a function standardizing another
+    raw design with the same parameters, and the back-transform of such
+    coefficients.  The estimator applies to the hierarchical scheme only;
+    regular standardization is always mean/SD per expanded column.
     """
+    if scheme not in SCHEMES:
+        raise InvalidConfigError(f"unknown scheme {scheme!r}")
     if scheme == HIERARCHICAL:
         ls = fit_location_scale(raw, estimator)
         return (standardize_hierarchical(raw, ls, terms), ls, HIER_STD,
-                lambda other: standardize_hierarchical(other, ls, terms))
+                lambda other: standardize_hierarchical(other, ls, terms),
+                lambda coefs: back_transform_hierarchical(coefs, ls, terms))
     z, params = standardize_regular(raw, terms)
-    return z, params, REGULAR_STD, params.apply
+    return (z, params, REGULAR_STD, params.apply,
+            lambda coefs: back_transform_regular(coefs, params, terms))
 
 
 class FittedPipeline(NamedTuple):
@@ -313,8 +324,19 @@ class FittedPipeline(NamedTuple):
 
     params: LocationScale | RegularParams
     fit: FitResult  # on the standardized scale
-    tuned: TunedLasso | None  # the lambda search; None for stepwise
+    tuning: dict  # the method's fit.json "tuning" object
+    warning: str | None  # why the fit did not converge; None when it did
     raw_coefs: CoefficientVector
+
+
+def _select_step(method: str, options: dict):
+    """The method's select step and options (None: defaults), checked against the table."""
+    for name in (method, *options):  # a misspelt options key fails, not runs defaults
+        if name not in SELECTORS:
+            raise InvalidConfigError(f"unknown method {name!r}")
+        if not isinstance(options.get(name), (SELECTORS[name][0], type(None))):
+            raise InvalidConfigError(f"{name} options must be {SELECTORS[name][0].__name__}")
+    return SELECTORS[method][1], options.get(method)
 
 
 def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
@@ -325,21 +347,12 @@ def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
     the validation split (the lasso) reads it.  ``options`` maps a method
     name to its options; a method it does not name runs its defaults.
     """
-    for name in (method, *(options or ())):  # a misspelt options key fails, not runs defaults
-        if name not in SELECTORS:
-            raise InvalidConfigError(f"unknown method {name!r}")
-    if scheme not in SCHEMES:
-        raise InvalidConfigError(f"unknown scheme {scheme!r}")
+    select, opts = _select_step(method, options or {})
     x_tr, y_tr = train
-    z_tr, params, tag, apply_params = standardize_train(x_tr, terms, scheme, estimator)
-    select = SELECTORS[method][1]
-    fit, tuned = select(z_tr, y_tr, valid, apply_params, terms, tag, (options or {}).get(method))
-
-    if scheme == HIERARCHICAL:
-        raw = back_transform_hierarchical(fit.coefs, params, terms)
-    else:
-        raw = back_transform_regular(fit.coefs, params, terms)
-    return FittedPipeline(params, fit, tuned, raw)
+    z_tr, params, tag, apply_params, back = standardize_train(x_tr, terms, scheme, estimator)
+    fit, tuning, why = select(z_tr, y_tr, valid, apply_params, terms, tag, opts)
+    warning = None if fit.converged else f"the fit did not converge: {why}"
+    return FittedPipeline(params, fit, tuning, warning, back(fit.coefs))
 
 
 def run_pipeline(data: ReplicateData, method: str, scheme: str,

@@ -160,16 +160,17 @@ class CoefficientVector:
 def _sample_sd(x: np.ndarray) -> np.ndarray:
     """np.std(x, axis=0, ddof=1), taken again on x / max|x| wherever squaring
     the deviations overflowed or underflowed: spreads of 1e300 and of 1e-300
-    are representable."""
+    are representable.  A column of equal values has spread 0, though its
+    mean may round off them (150 copies of 0.1) and leave np.std about 1e-17."""
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(x, axis=0, ddof=1)
         redo = ~np.isfinite(sd) | (sd < SD_FLOOR)
-        if not np.any(redo):
-            return sd
-        peak = np.max(np.abs(x), axis=0)
-        redo &= peak > 0.0
-        rescaled = peak * np.std(x / np.where(redo, peak, 1.0), axis=0, ddof=1)
-        return np.where(redo, rescaled, sd)
+        if np.any(redo):
+            peak = np.max(np.abs(x), axis=0)
+            redo &= peak > 0.0
+            rescaled = peak * np.std(x / np.where(redo, peak, 1.0), axis=0, ddof=1)
+            sd = np.where(redo, rescaled, sd)
+        return np.where(np.ptp(x, axis=0) == 0.0, 0.0, sd)
 
 
 def _column_location_scale(col: np.ndarray, estimator: str) -> tuple[float, float]:

@@ -674,6 +674,23 @@ class TestStandardizeCommand:
         assert rc == 2
         assert "X2" in capsys.readouterr().err
 
+    def test_constant_column_of_any_value_exit_2(self, tmp_path, capsys):
+        # 150 copies of 0.1 have a mean that rounds off 0.1, so np.std gives
+        # about 1e-17, not 0; the column still has zero spread.
+        rng = np.random.default_rng(1)
+        x1, x2 = rng.standard_normal(150), rng.standard_normal(150)
+        y = x1 + x2 + x1 * x2 + rng.standard_normal(150)
+        path = tmp_path / "const.csv"
+        write_csv(path, ["X1", "X2", "X3", "y"],
+                  np.column_stack([x1, x2, np.full(150, 0.1), y]).tolist())
+        commands = [["fit", str(path), "--method", method, "--scheme", scheme]
+                    for method in ("lasso", "stepwise") for scheme in ("hierarchical", "regular")]
+        commands += [["standardize", str(path), "--response", "y", "--scheme", scheme]
+                     for scheme in ("hierarchical", "regular")]
+        for argv in commands:
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 2, argv
+            assert "column X3 has zero spread" in capsys.readouterr().err, argv
+
 
 class TestReportCommand:
     def test_renders_saved_json(self, tmp_path, capsys):

@@ -1,27 +1,30 @@
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from hereditas.errors import InvalidConfigError
 from hereditas.io import dump_json, from_json_fields, to_json
-from hereditas.selectors import LassoOptions, StepwiseOptions
+from hereditas import simulate
+from hereditas.selectors import FitResult, LassoOptions, StepwiseOptions
 from hereditas.simulate import (
     DEFAULT_CELLS,
     HIERARCHICAL,
     LASSO,
     PRESETS,
     REGULAR,
+    SCHEMES,
     STEPWISE,
     SettingConfig,
     build_truth,
+    fit_pipeline,
     generate_replicate,
     preset,
     run_campaign,
     run_pipeline,
 )
-from hereditas.standardize import MEDIAN_IQR
+from hereditas.standardize import MEDIAN_IQR, CoefficientVector
 from hereditas.terms import inter, main, quad
 
 FAST = dict(n_train=120, n_valid=120, n_test=500, replicates=2)
@@ -157,6 +160,35 @@ class TestRunPipeline:
         with pytest.raises(InvalidConfigError, match="unknown method 'Lasso'"):
             run_pipeline(generate_replicate(fast_cfg(), 0), LASSO, REGULAR,
                          options={"Lasso": LassoOptions(n_lambda=5)})
+        # An options object of another method's type names the method it was given for.
+        with pytest.raises(InvalidConfigError, match="lasso options must be LassoOptions"):
+            run_pipeline(generate_replicate(fast_cfg(), 0), STEPWISE, REGULAR,
+                         options={LASSO: StepwiseOptions()})
+
+    def test_a_method_is_one_table_entry(self, monkeypatch):
+        # The stub's tuning object and non-convergence reason reach FittedPipeline
+        # through the table alone.
+        @dataclass(frozen=True)
+        class StubOptions:
+            converged: bool = False
+
+        def step(z_tr, y_tr, _valid, _apply_params, terms, tag, opts):
+            coefs = CoefficientVector(terms, float(np.mean(y_tr)), np.zeros(len(terms)), tag)
+            fit = FitResult(coefs, tuning=0.0, iterations=0,
+                            converged=(opts or StubOptions()).converged)
+            return fit, {"rows": len(y_tr)}, "the stub never moves"
+
+        monkeypatch.setitem(simulate.SELECTORS, "stub", (StubOptions, step))
+        data = generate_replicate(fast_cfg(), 0)
+        for scheme in SCHEMES:
+            fitted = fit_pipeline(data.train, data.valid, data.truth.terms, "stub", scheme)
+            assert fitted.tuning == {"rows": len(data.train.y)}
+            assert fitted.warning == "the fit did not converge: the stub never moves"
+            assert fitted.raw_coefs.intercept == pytest.approx(np.mean(data.train.y))
+            assert not fitted.raw_coefs.selected()
+        fitted = fit_pipeline(data.train, data.valid, data.truth.terms, "stub", REGULAR,
+                              options={"stub": StubOptions(converged=True)})
+        assert fitted.warning is None
 
 
 class TestRunCampaign:
