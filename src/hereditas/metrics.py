@@ -21,7 +21,25 @@ from .terms import INTER, MAIN, QUAD, TermId, TermSet, heredity_parents
 
 STANDARD_NORMAL = "standard-normal"
 LOGNORMAL01 = "lognormal-0-1"
-DISTRIBUTIONS = (STANDARD_NORMAL, LOGNORMAL01)
+
+# Distribution name -> (sampler of an array of i.i.d. mains, given a Generator
+# and the array's shape; raw moments E[X^k], k = 0..4, of one main).
+_MAIN_DISTRIBUTIONS = {
+    STANDARD_NORMAL: (lambda rng, shape: rng.standard_normal(shape), (1.0, 0.0, 1.0, 0.0, 3.0)),
+    LOGNORMAL01: (lambda rng, shape: rng.lognormal(0.0, 1.0, size=shape),
+                  tuple(math.exp(k * k / 2) for k in range(5))),
+}
+DISTRIBUTIONS = tuple(_MAIN_DISTRIBUTIONS)
+MOMENTS = {name: moments for name, (_, moments) in _MAIN_DISTRIBUTIONS.items()}
+
+
+def _distribution(name: str):
+    """The (sampler, moments) of a supported distribution of the mains."""
+    try:
+        return _MAIN_DISTRIBUTIONS[name]
+    except KeyError:
+        raise UnsupportedDistributionError(f"unknown distribution {name!r}") from None
+
 
 TERM_CLASSES = (MAIN, INTER, QUAD)
 
@@ -80,34 +98,29 @@ def _ratio(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
-def sensitivity(selected: Iterable[TermId], truth: TruthSpec) -> float | None:
+def _rates(selected, truth: TruthSpec, kinds=TERM_CLASSES) -> tuple[float | None, float | None]:
+    """(sensitivity, specificity) of a selection over the truth's terms of the given kinds."""
     selected = frozenset(selected)
-    active = truth.active
-    return _ratio(len(selected & active), len(active))
+    terms = {t for t in truth.terms if t.kind in kinds}
+    active, inactive = terms & truth.active, terms - truth.active
+    return (_ratio(len(selected & active), len(active)),
+            _ratio(len(inactive - selected), len(inactive)))
+
+
+def sensitivity(selected: Iterable[TermId], truth: TruthSpec) -> float | None:
+    return _rates(selected, truth)[0]
 
 
 def specificity(selected: Iterable[TermId], truth: TruthSpec) -> float | None:
-    selected = frozenset(selected)
-    inactive = frozenset(truth.terms) - truth.active
-    return _ratio(len(inactive - selected), len(inactive))
+    return _rates(selected, truth)[1]
 
 
 def sensitivity_by_class(selected: Iterable[TermId], truth: TruthSpec) -> dict[str, float | None]:
-    selected = frozenset(selected)
-    out = {}
-    for kind in TERM_CLASSES:
-        active = {t for t in truth.active if t.kind == kind}
-        out[kind] = _ratio(len(selected & active), len(active))
-    return out
+    return {kind: _rates(selected, truth, (kind,))[0] for kind in TERM_CLASSES}
 
 
 def specificity_by_class(selected: Iterable[TermId], truth: TruthSpec) -> dict[str, float | None]:
-    selected = frozenset(selected)
-    out = {}
-    for kind in TERM_CLASSES:
-        inactive = {t for t in truth.terms if t.kind == kind} - truth.active
-        out[kind] = _ratio(len(inactive - selected), len(inactive))
-    return out
+    return {kind: _rates(selected, truth, (kind,))[1] for kind in TERM_CLASSES}
 
 
 def mse(predictions, y) -> float:
@@ -128,21 +141,8 @@ class SnrEstimate:
     method: str  # always "analytic"
 
 
-# Raw moments E[X^k], k = 0..4, of one main under each supported distribution.
-MOMENTS = {
-    STANDARD_NORMAL: (1.0, 0.0, 1.0, 0.0, 3.0),
-    LOGNORMAL01: tuple(math.exp(k * k / 2) for k in range(5)),
-}
-
-
 def draw_mains(rng, n: int, p: int, distribution: str) -> np.ndarray:
-    if distribution == STANDARD_NORMAL:
-        return rng.standard_normal((n, p))
-    if distribution == LOGNORMAL01:
-        return rng.lognormal(0.0, 1.0, size=(n, p))
-    raise UnsupportedDistributionError(
-        f"no sampler for {distribution!r}; supported: {DISTRIBUTIONS}"
-    )
+    return _distribution(distribution)[0](rng, (n, p))
 
 
 def _powers(t: TermId) -> Counter:
@@ -157,12 +157,7 @@ def signal_moments(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> tup
     Var(signal) = sum_t sum_u v_t v_u (E[tu] - E[t]E[u]) needs only the raw
     moments E[X^k], k <= 4, of one main.
     """
-    try:
-        moments = MOMENTS[distribution]
-    except KeyError:
-        raise UnsupportedDistributionError(
-            f"no moments for {distribution!r}; supported: {DISTRIBUTIONS}"
-        ) from None
+    moments = _distribution(distribution)[1]
 
     def mean(powers: Counter) -> float:
         return math.prod(moments[k] for k in powers.values())

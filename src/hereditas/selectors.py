@@ -22,7 +22,7 @@ from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
 from .kernels import RANK_TOL
 from .metrics import mse
-from .standardize import RAW, CoefficientVector
+from .standardize import RAW, CoefficientVector, _zero_spread
 from .terms import MAIN, TermSet, main
 
 # Internal slack for the KKT convergence certificate; one order tighter
@@ -128,9 +128,7 @@ def _prepare(X, y, internal_standardize: bool) -> _Prepped:
         raise InvalidDimensionError("need at least 2 rows")
     x_mean = X.mean(axis=0)
     XT = np.ascontiguousarray((X - x_mean).T)
-    # A column of equal values centers to exact zeros, though its mean may
-    # round off them (0.1, or a balanced 0/1 main's standardized square).
-    XT[np.ptp(X, axis=0) == 0.0] = 0.0
+    XT[_zero_spread(X)] = 0.0  # centered to exact zeros
     if internal_standardize:
         scale = np.sqrt(np.mean(XT * XT, axis=1))
         x_scale = np.where(scale > 0.0, scale, 1.0)
@@ -329,10 +327,13 @@ class _GramSearch:
         factor = self.solve(cols)[2]
         return None if factor is None else np.linalg.solve(factor[:-1, :-1].T, factor[-1, :-1])
 
+    def criterion(self, rss, n_params, log):
+        """AIC = n ln(max(RSS, rss_floor)/n) + 2k of k parameters, the intercept included:
+        ``log`` is math.log for one exact score, np.log for the screen's arrays of bounds."""
+        return self.n * log(np.maximum(rss, self.rss_floor) / self.n) + 2 * n_params
+
     def aic_of(self, rss: float, n_cols: int) -> float:
-        if not math.isfinite(rss):
-            return math.inf
-        return self.n * math.log(max(rss, self.rss_floor) / self.n) + 2 * (n_cols + 1)
+        return self.criterion(rss, n_cols + 1, math.log) if math.isfinite(rss) else math.inf
 
     def aic(self, cols: tuple[int, ...]) -> float:
         return self.aic_of(self.solve(cols)[0], len(cols))
@@ -420,9 +421,8 @@ class _SweepScreen:
             err = (SCREEN_SLACK * np.finfo(float).eps * n_params
                    * ((base + np.abs(step) * spread) ** 2 + search.yty)
                    / np.minimum(new_ratio, self.worst))
-            n = search.n
-            lo = n * np.log(np.maximum(new_rss - err, search.rss_floor) / n) + 2 * n_params
-            hi = n * np.log(np.maximum(new_rss + err, search.rss_floor) / n) + 2 * n_params
+            lo = search.criterion(new_rss - err, n_params, np.log)
+            hi = search.criterion(new_rss + err, n_params, np.log)
             # Room for last-ulp differences between np.log and math.log.
             lo -= AIC_ULP * (np.abs(lo) + 1.0)
             hi += AIC_ULP * (np.abs(hi) + 1.0)

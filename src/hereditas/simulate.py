@@ -20,18 +20,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, UnsupportedDistributionError
+from .errors import InvalidConfigError
 from .io import to_json
 from .metrics import (
-    DISTRIBUTIONS,
     LOGNORMAL01,
-    MOMENTS,
     STANDARD_NORMAL,
     TERM_CLASSES,
     AggregateStat,
     ReplicateMetrics,
     SnrEstimate,
     TruthSpec,
+    _distribution,
     aggregate,
     draw_mains,
     mse,
@@ -149,6 +148,12 @@ class SettingConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidConfigError(f"{name} must be finite, got {value!r}")
+        for name, active in (("coef_main", self.n_active_mains + self.extra_active_mains),
+                             ("coef_inter", self.n_active_inters),
+                             ("coef_quad", self.n_active_quads)):
+            if active and getattr(self, name) == 0:
+                raise InvalidConfigError(
+                    f"{name} is 0, but {active} active terms take that coefficient")
         if self.sigma <= 0:
             raise InvalidConfigError("sigma must be positive")
         for n_name in ("n_train", "n_valid", "n_test"):
@@ -158,10 +163,7 @@ class SettingConfig:
             raise InvalidConfigError("replicates must be at least 1")
         if self.master_seed < 0:
             raise InvalidConfigError("master_seed must be nonnegative")
-        if self.x_distribution not in DISTRIBUTIONS:
-            raise UnsupportedDistributionError(
-                f"unknown distribution {self.x_distribution!r}"
-            )
+        moments = _distribution(self.x_distribution)[1]
         if self.estimator not in ESTIMATORS:
             raise InvalidConfigError(f"unknown estimator {self.estimator!r}")
         # metrics.snr divides by sigma**2, which for a tiny sigma is 0 or too
@@ -182,7 +184,7 @@ class SettingConfig:
         kc = (self.n_active_mains + self.extra_active_mains + self.n_active_inters
               + self.n_active_quads) * max(abs(self.coef_main), abs(self.coef_inter),
                                            abs(self.coef_quad))
-        if not math.isfinite(HEADROOM * n * (noise + kc * kc * MOMENTS[self.x_distribution][4])):
+        if not math.isfinite(HEADROOM * n * (noise + kc * kc * moments[4])):
             truth = build_truth(self)
             mean, var = signal_moments(truth, self.x_distribution)
             if not math.isfinite(HEADROOM * n * (noise + mean * mean + var)):

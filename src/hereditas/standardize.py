@@ -45,6 +45,21 @@ SQRT_MAX = math.sqrt(np.finfo(float).max)
 SD_FLOOR = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 
 
+def _freeze_params(params, names, consistent, mismatch: str, estimator: str = MEAN_SD) -> None:
+    """Store the named fields of a frozen params dataclass as read-only float arrays, then
+    check, in order: ``consistent(*arrays)`` (else ``mismatch``), the estimator, the scales."""
+    for name in names:
+        v = np.atleast_1d(np.array(getattr(params, name), dtype=np.float64))
+        v.flags.writeable = False
+        object.__setattr__(params, name, v)
+    if not consistent(*(getattr(params, name) for name in names)):
+        raise InconsistentParamsError(mismatch)
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if np.any(params.scales <= 0) or not np.all(np.isfinite(params.scales)):
+        raise ValueError("scales must be strictly positive and finite")
+
+
 @dataclass(frozen=True)
 class LocationScale:
     """Per-main-effect location/scale estimates plus any recorded shifts.
@@ -64,16 +79,9 @@ class LocationScale:
     delta_applied: np.ndarray
 
     def __post_init__(self):
-        for name in ("centers", "scales", "delta_applied"):
-            v = np.atleast_1d(np.array(getattr(self, name), dtype=np.float64))
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        if not (self.centers.shape == self.scales.shape == self.delta_applied.shape):
-            raise InconsistentParamsError("centers/scales/delta_applied length mismatch")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if np.any(self.scales <= 0) or not np.all(np.isfinite(self.scales)):
-            raise ValueError("scales must be strictly positive and finite")
+        _freeze_params(self, ("centers", "scales", "delta_applied"),
+                       lambda c, s, d: c.shape == s.shape == d.shape,
+                       "centers/scales/delta_applied length mismatch", self.estimator)
 
     @property
     def p(self) -> int:
@@ -93,14 +101,9 @@ class RegularParams:
     scales: np.ndarray
 
     def __post_init__(self):
-        for name in ("centers", "scales"):
-            v = np.atleast_1d(np.array(getattr(self, name), dtype=np.float64))
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        if len(self.centers) != len(self.terms) or len(self.scales) != len(self.terms):
-            raise InconsistentParamsError("params length does not match the term set")
-        if np.any(self.scales <= 0) or not np.all(np.isfinite(self.scales)):
-            raise ValueError("scales must be strictly positive and finite")
+        _freeze_params(self, ("centers", "scales"),
+                       lambda c, s: len(c) == len(s) == len(self.terms),
+                       "params length does not match the term set")
 
     def apply(self, raw) -> np.ndarray:
         """Expand a raw design and standardize it with these (train-fitted) params."""
@@ -157,11 +160,16 @@ class CoefficientVector:
         return self.intercept + design @ self.values
 
 
+def _zero_spread(x: np.ndarray) -> np.ndarray:
+    """Which columns of x hold equal values, and so have zero spread, though their mean may
+    round off them (150 copies of 0.1, a balanced 0/1 main's standardized square)."""
+    return np.ptp(x, axis=0) == 0.0
+
+
 def _sample_sd(x: np.ndarray) -> np.ndarray:
     """np.std(x, axis=0, ddof=1), taken again on x / max|x| wherever squaring
     the deviations overflowed or underflowed: spreads of 1e300 and of 1e-300
-    are representable.  A column of equal values has spread 0, though its
-    mean may round off them (150 copies of 0.1) and leave np.std about 1e-17."""
+    are representable.  A column of ``_zero_spread`` has spread 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(x, axis=0, ddof=1)
         redo = ~np.isfinite(sd) | (sd < SD_FLOOR)
@@ -170,7 +178,7 @@ def _sample_sd(x: np.ndarray) -> np.ndarray:
             redo &= peak > 0.0
             rescaled = peak * np.std(x / np.where(redo, peak, 1.0), axis=0, ddof=1)
             sd = np.where(redo, rescaled, sd)
-        return np.where(np.ptp(x, axis=0) == 0.0, 0.0, sd)
+        return np.where(_zero_spread(x), 0.0, sd)
 
 
 def _column_location_scale(col: np.ndarray, estimator: str) -> tuple[float, float]:

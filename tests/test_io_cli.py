@@ -332,6 +332,45 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"p": 0}, "p must be at least 1"),
+        ({"extra_active_mains": -1}, "active counts must be nonnegative"),
+        ({"n_active_quads": 4}, "more active quadratics than parent mains"),
+        ({"sigma": 0}, "sigma must be positive"),
+        ({"n_valid": 0}, "n_valid must be at least 1"),
+        ({"replicates": 0}, "replicates must be at least 1"),
+        ({"master_seed": -1}, "master_seed must be nonnegative"),
+        ({"x_distribution": "cauchy"}, "unknown distribution 'cauchy'"),
+        ({"estimator": "mode"}, "unknown estimator 'mode'"),
+    ])
+    def test_config_out_of_range_exit_2(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc,field,active", [
+        ({"coef_main": 0}, "coef_main", 3),
+        ({"coef_main": 0.0, "n_active_mains": 0, "n_active_inters": 0, "n_active_quads": 0,
+          "extra_active_mains": 1}, "coef_main", 1),
+        ({"coef_inter": 0}, "coef_inter", 3),
+        ({"coef_quad": -0.0, "n_active_quads": 2}, "coef_quad", 2),
+    ])
+    def test_zero_coefficient_of_an_active_term_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                       doc, field, active):
+        # Named before the campaign starts, not by a worker's first replicate.
+        monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: pytest.fail("campaign ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "replicates": 2}))
+        rc = main(["simulate", "--config", str(cfg_path), "--threads", "2",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {field} is 0, but {active} active terms take that coefficient\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("sigma", 1e154), ("sigma", 1e200), ("coef_main", 1e200), ("coef_quad", 1e160),
         ("coef_inter", -1e200),
@@ -599,6 +638,19 @@ class TestFitCommand:
                         assert err.startswith("error: ")
                         assert "overflows" in err
 
+    @pytest.mark.parametrize("split,message", [
+        ("3:1", "--split must look like 3:1:1, got '3:1'"),
+        ("3:1:1:1", "--split must look like 3:1:1, got '3:1:1:1'"),
+        ("3:1:x", "--split must be integers, got '3:1:x'"),
+        ("3:0:1", "--split ratios must be positive"),
+        ("3:1:-1", "--split ratios must be positive"),
+    ])
+    def test_bad_split_exit_2(self, dataset_csv, tmp_path, capsys, split, message):
+        rc = main(["fit", str(dataset_csv), "--split", split, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_threads_flag_rejected(self, dataset_csv, tmp_path):
         # --threads runs simulate's replicate workers; fit has none to run.
         with pytest.raises(SystemExit) as exc:
@@ -733,6 +785,21 @@ class TestReportCommand:
         assert "setting1:lasso/hierarchical" in header
         assert "setting4:lasso/hierarchical" in header
 
+    def test_json_format_prints_the_document_or_a_list(self, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "setting1", "--replicates", "1", "--methods", "lasso",
+                   "--schemes", "hierarchical", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        first = tmp_path / "setting1.report.json"
+        doc = json.loads(first.read_text())
+        doc["config"]["name"] = "other"
+        second = tmp_path / "other.report.json"
+        second.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(first), "--format", "json"]) == 0
+        assert capsys.readouterr().out == first.read_text()
+        assert main(["report", str(first), str(second), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [json.loads(first.read_text()), doc]
+
 
 class TestSelectorOptionFiles:
     def test_lasso_options_json_respected(self, dataset_csv, tmp_path):
@@ -752,6 +819,22 @@ class TestSelectorOptionFiles:
                    "--out-dir", str(tmp_path / "fit")])
         assert rc == 2
         assert "max_iter must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,doc,message", [
+        ("--lasso-options", {"n_lambda": 0}, "n_lambda must be at least 1"),
+        ("--lasso-options", {"lambda_min_ratio": 1.0}, "lambda_min_ratio must lie in (0, 1)"),
+        ("--lasso-options", {"lambda_min_ratio": 0.0}, "lambda_min_ratio must lie in (0, 1)"),
+        ("--stepwise-options", {"start": "middle"}, "start must be 'auto', 'full' or 'null'"),
+        ("--stepwise-options", {"max_selected": 0}, "max_selected must be at least 1"),
+    ])
+    def test_option_out_of_range_exit_2(self, dataset_csv, tmp_path, capsys, flag, doc,
+                                        message):
+        opts = tmp_path / "options.json"
+        opts.write_text(json.dumps(doc))
+        rc = main(["fit", str(dataset_csv), flag, str(opts), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_direction_is_an_unknown_stepwise_option(self, dataset_csv, tmp_path, capsys):
         opts = tmp_path / "stepwise.json"

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -543,6 +544,63 @@ class TestFaceFactor:
         face.fit(np.array([0.0, 0.0, 0.0, 1.0]))
         assert face.free.tolist() == [3] and face.held.size == 0
         np.testing.assert_allclose(face.inv, [[1.0 / face.gram[3, 3]]], rtol=1e-15)
+
+
+class TestDriftRebuild:
+    def test_a_drifted_inverse_is_built_again(self, monkeypatch):
+        # A wide design found by fuzzing: a face solved on an updated inverse
+        # still leaves an active violation, so cd_solve factors it afresh.
+        rebuilt = []
+        factor = kernels.Face.factor
+
+        def counted(face, active):
+            if sys._getframe(1).f_code is kernels.cd_solve.__code__:
+                rebuilt.append(len(active))
+            factor(face, active)
+
+        monkeypatch.setattr(kernels.Face, "factor", counted)
+        X, y, _ = lasso_design("wide", 4487)
+        opts = LassoOptions(n_lambda=30, max_iter=2000)
+        lambdas = np.append(_lambda_grid(_prepare(X, y, True), opts), 0.0)
+        _, fits = fit_lasso_path(X, y, opts, lambdas=lambdas)
+        assert rebuilt
+        for lam, fit in zip(lambdas, fits):
+            assert fit.converged
+            assert max(lasso_kkt_residual(X, y, fit, lam)) <= 1e-6
+
+
+class TestKernelGuards:
+    """Crafted states that reach each guard of ``_exact_step`` and ``_move``."""
+
+    def test_a_joining_column_that_moves_against_its_sign_leaves_the_face(self):
+        XT = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+        b, signs = np.zeros(2), np.array([1.0, 0.0])
+        # The face's step for column 0 is g_0 - lam = -0.5: against its sign.
+        out = kernels._exact_step(XT, np.array([0.5, 0.0]), b, signs, 1.0, 1e-9,
+                                  kernels.Face(XT @ XT.T / 4))
+        assert out == (False, False)
+        np.testing.assert_array_equal(signs, [0.0, 0.0])
+        np.testing.assert_array_equal(b, [0.0, 0.0])
+
+    def test_a_held_column_whose_line_slopes_against_its_sign_leaves_the_face(self):
+        # Column 1 duplicates column 0, so it is held; b_0 is already solved
+        # (g_0 = lam), and the held line's slope 2 lam opposes sign -1.
+        x = np.array([1.0, -1.0, 1.0, -1.0])
+        XT, lam = np.array([x, x]), 0.1
+        face = kernels.Face(XT @ XT.T / 4)
+        b, signs = np.array([0.5, 0.0]), np.array([1.0, -1.0])
+        g = np.full(2, lam + 0.5) - face.gram @ b
+        assert kernels._exact_step(XT, g, b, signs, lam, 1e-9, face) == (False, False)
+        assert face.held.tolist() == [1]
+        np.testing.assert_array_equal(signs, [1.0, 0.0])
+        np.testing.assert_array_equal(b, [0.5, 0.0])
+
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_an_unbounded_move_is_not_taken(self, lam):
+        # A flat line (no curvature) that zeroes no coefficient has no finite step.
+        b = np.array([1.0, 0.0])
+        assert kernels._move(b, np.array([1.0, 1.0]), np.inf, lam) is False
+        np.testing.assert_array_equal(b, [1.0, 0.0])
 
 
 class TestFaceMask:

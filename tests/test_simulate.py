@@ -77,6 +77,13 @@ class TestBuildTruth:
             SettingConfig(p=3, n_active_mains=3, extra_active_mains=1,
                           n_active_inters=3, n_active_quads=3)
 
+    def test_zero_coefficient_needs_no_active_term_of_its_kind(self):
+        for field in ("coef_main", "coef_inter", "coef_quad"):
+            with pytest.raises(InvalidConfigError, match=f"^{field} is 0, but 3 active terms"):
+                SettingConfig(**{field: 0.0})
+        truth = build_truth(SettingConfig(coef_inter=0.0, n_active_inters=0))
+        assert {t.kind for t in truth.active} == {"main", "quad"}
+
 
 class TestGenerateReplicate:
     def test_bit_identical_regeneration(self):

@@ -13,6 +13,7 @@ from hereditas.standardize import (
     REGULAR_STD,
     CoefficientVector,
     LocationScale,
+    RegularParams,
     back_transform_hierarchical,
     back_transform_regular,
     check_heredity,
@@ -88,6 +89,53 @@ class TestFitLocationScale:
         with pytest.raises(InvalidConfigError) as exc:
             from_json_fields(LocationScale, doc, "location-scale field")
         assert message in str(exc.value)
+
+
+class TestParamsChecks:
+    """Both params types freeze their arrays and check them in one order:
+    lengths, then the estimator, then the scales; an input with two faults
+    raises the first."""
+
+    LENGTHS = "centers/scales/delta_applied length mismatch"
+    SCALES = "scales must be strictly positive and finite"
+
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"centers": [0.0, 1.0]}, InconsistentParamsError, LENGTHS),
+        ({"delta_applied": [[0.0, 0.0, 0.0]]}, InconsistentParamsError, LENGTHS),
+        ({"estimator": "mode"}, ValueError, "unknown estimator 'mode'"),
+        ({"scales": [1.0, 0.0, 1.0]}, ValueError, SCALES),
+        ({"scales": [1.0, -2.0, 1.0]}, ValueError, SCALES),
+        ({"scales": [1.0, np.inf, 1.0]}, ValueError, SCALES),
+        ({"scales": [1.0, np.nan, 1.0]}, ValueError, SCALES),
+        ({"centers": [0.0], "estimator": "mode"}, InconsistentParamsError, LENGTHS),
+        ({"scales": [0.0], "estimator": "mode"}, InconsistentParamsError, LENGTHS),
+        ({"scales": [0.0] * 3, "estimator": "mode"}, ValueError, "unknown estimator 'mode'"),
+    ])
+    def test_location_scale_rejects(self, fields, error, message):
+        kw = {"estimator": MEAN_SD, "centers": [0.5] * 3, "scales": [1.0] * 3,
+              "delta_applied": [0.0] * 3}
+        with pytest.raises(ValueError) as exc:
+            LocationScale(**{**kw, **fields})
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("centers,scales,error,message", [
+        ([0.0] * 2, [1.0] * 3, InconsistentParamsError, "params length does not match the term set"),
+        ([0.0] * 3, [1.0] * 4, InconsistentParamsError, "params length does not match the term set"),
+        ([0.0] * 3, [1.0, 0.0, 1.0], ValueError, SCALES),
+        ([0.0] * 3, [1.0, np.nan, 1.0], ValueError, SCALES),
+        ([0.0] * 2, [0.0] * 3, InconsistentParamsError, "params length does not match the term set"),
+    ])
+    def test_regular_params_rejects(self, centers, scales, error, message):
+        terms = TermSet(3, (main(0), main(1), main(2)))
+        with pytest.raises(ValueError) as exc:
+            RegularParams(terms, centers, scales)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_arrays_are_read_only_floats(self):
+        ls = LocationScale(MEDIAN_IQR, [1, 2], [3, 4], [0, 0])
+        params = RegularParams(TermSet(1, (main(0),)), 2, 5)
+        for v in (ls.centers, ls.scales, ls.delta_applied, params.centers, params.scales):
+            assert v.dtype == np.float64 and v.ndim == 1 and not v.flags.writeable
 
 
 class TestStandardizeHierarchical:
