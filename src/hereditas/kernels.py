@@ -49,7 +49,9 @@ The guards:
   along the direction that its collapsed pivot exposes, which the fit
   barely sees.  It moves to the objective's minimum on that line, or to the
   first coefficient it zeroes.  Plain descent only creeps along such a
-  direction, as on a near-copy pair.
+  direction, as on a near-copy pair.  A slope within the rounding of the
+  gradient at b counts as zero: moving by it only grows b (at lam = 0 on an
+  unscaled near-copy pair, b doubled each pass until it overflowed).
 
 ``selectors`` looks ``cd_solve`` up on this module at call time
 (``kernels.cd_solve``) and passes its arguments by position, so a wrapper
@@ -223,7 +225,10 @@ def _exact_step(XT, g, b, signs, lam, kkt_tol, face):
     slopes = (g - gram @ step) @ lines - lam * (signs @ lines)
     i = int(np.abs(slopes).argmax())
     k, line, slope = held[i], lines[:, i], slopes[i]
-    if not abs(slope) > kkt_tol:
+    # A slope within the rounding of the gradient c - G b at b cannot be told
+    # from zero, and moving by it along a line the fit barely sees only grows b.
+    noise = np.finfo(float).eps * (np.abs(gram) @ (np.abs(b) + np.abs(step))) @ np.abs(line)
+    if not abs(slope) > max(kkt_tol, noise):
         return False, True
     if lam > 0.0 and b[k] == 0.0 and slope * signs[k] < 0.0:
         signs[k] = 0.0

@@ -3,7 +3,10 @@
 Data are generated from the second-order model with independent mains;
 one master seed spawns an independent stream per replicate (SeedSequence
 entropy [master_seed, replicate]), so replicates can run concurrently and
-every method cell consumes the identical datasets.
+every method cell consumes the identical datasets.  The training and
+validation splits are expanded (``terms.expand``) for fitting; the 10,000-row
+test split keeps only its mains, and both its signal and each cell's test
+predictions come from ``terms.expand_dot``.
 
 Selection methods plug in through one table, ``SELECTORS`` (method name ->
 options dataclass and select step); the pipelines and campaigns take one
@@ -60,7 +63,7 @@ from .standardize import (
     standardize_hierarchical,
     standardize_regular,
 )
-from .terms import TermSet, canonical_terms, expand, inter, main, quad
+from .terms import TermSet, canonical_terms, expand, expand_dot, inter, main, quad
 
 LASSO = "lasso"
 STEPWISE = "stepwise"
@@ -282,22 +285,25 @@ class Split(NamedTuple):
 class ReplicateData:
     train: Split
     valid: Split
-    test: Split
+    test: Split  # scored from its mains alone: never expanded
     truth: TruthSpec
-    test_design: np.ndarray  # the test split's expanded design, which every cell scores on
 
 
 def generate_replicate(cfg: SettingConfig, rep_index: int) -> ReplicateData:
-    """Deterministic function of (master_seed, rep_index); splits drawn in order."""
+    """Deterministic function of (master_seed, rep_index); splits drawn in order.
+
+    The fitted splits take their signal from the expanded design, the test
+    split from its mains (``expand_dot``), so no n_test-by-m array is built.
+    """
     truth = build_truth(cfg)
     coefs = truth.coefficient_array()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, rep_index]))
     splits = []
-    for n in (cfg.n_train, cfg.n_valid, cfg.n_test):
+    for n, fitted in ((cfg.n_train, True), (cfg.n_valid, True), (cfg.n_test, False)):
         x = draw_mains(rng, n, cfg.p, cfg.x_distribution)
-        design = expand(x, truth.terms)
-        splits.append(Split(x, design @ coefs + rng.normal(0.0, cfg.sigma, size=n)))
-    return ReplicateData(*splits, truth, test_design=design)  # the test split is last
+        signal = expand(x, truth.terms) @ coefs if fitted else expand_dot(x, truth.terms, coefs)
+        splits.append(Split(x, signal + rng.normal(0.0, cfg.sigma, size=n)))
+    return ReplicateData(*splits, truth)
 
 
 def standardize_train(raw, terms: TermSet, scheme: str, estimator: str = MEAN_SD) -> tuple:
@@ -359,10 +365,11 @@ def fit_pipeline(train, valid, terms: TermSet, method: str, scheme: str,
 
 def run_pipeline(data: ReplicateData, method: str, scheme: str,
                  estimator: str = MEAN_SD, options: dict | None = None) -> ReplicateMetrics:
-    """fit_pipeline on a replicate's train/valid splits, scored on its test split."""
+    """fit_pipeline on a replicate's train/valid splits, scored on its test split's mains."""
     raw = fit_pipeline(data.train, data.valid, data.truth.terms, method, scheme, estimator,
                        options).raw_coefs
-    test_mse = mse(raw.predict(data.test_design), data.test.y)
+    test_mse = mse(raw.intercept + expand_dot(data.test.design, raw.terms, raw.values),
+                   data.test.y)
     return score_selection(raw.selected(), data.truth, test_mse)
 
 

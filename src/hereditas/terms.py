@@ -168,17 +168,22 @@ def _main_values(raw) -> np.ndarray:
     return v
 
 
+def _mains_of(raw, terms: TermSet) -> np.ndarray:
+    x = _main_values(raw)
+    if x.shape[1] != terms.p:
+        raise InvalidDimensionError(
+            f"design has {x.shape[1]} mains but the term set expects p={terms.p}"
+        )
+    return x
+
+
 def expand(raw, terms: TermSet) -> np.ndarray:
     """Build the n-by-|terms| design: X_j, X_j*X_k, X_j^2 columns in term order.
 
     Accepts an (n, p) array of raw mains.  Raises InvalidDimensionError when a
     product overflows.
     """
-    x = _main_values(raw)
-    if x.shape[1] != terms.p:
-        raise InvalidDimensionError(
-            f"design has {x.shape[1]} mains but the term set expects p={terms.p}"
-        )
+    x = _mains_of(raw, terms)
     out = np.empty((x.shape[0], len(terms)), dtype=np.float64)
     try:
         with np.errstate(over="raise"):
@@ -192,3 +197,28 @@ def expand(raw, terms: TermSet) -> np.ndarray:
     except FloatingPointError:
         raise InvalidDimensionError(f"column {t.label()} overflows") from None
     return out
+
+
+def expand_dot(raw, terms: TermSet, values) -> np.ndarray:
+    """``expand(raw, terms) @ values`` without building the n-by-|terms| design.
+
+    A second-order model on the mains x is ``x @ a + rowsum((x @ B) * x)``: ``a``
+    holds the main coefficients and the upper-triangular p-by-p ``B`` the
+    interaction (B[j, k]) and quadratic (B[j, j]) ones.  The sums run in
+    another order than expand's product, so the result may differ from it in
+    its last digits.
+    """
+    x = _mains_of(raw, terms)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(terms),):
+        raise InvalidDimensionError(
+            f"expected {len(terms)} coefficients, got shape {values.shape}"
+        )
+    a = np.zeros(terms.p)
+    B = np.zeros((terms.p, terms.p))
+    for t, v in zip(terms.terms, values):
+        if t.kind == MAIN:
+            a[t.i] = v
+        else:
+            B[t.i, t.i if t.kind == QUAD else t.j] = v
+    return x @ a + np.einsum("ij,ij->i", x @ B, x)

@@ -1,5 +1,6 @@
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,21 @@ class TestHeldColumns:
         for lam, fit in zip(lambdas, fits):
             assert fit.converged
             assert max(lasso_kkt_residual(z, y, fit, lam)) <= max(1e-6, slack)
+
+    def test_near_copy_pair_at_lambda_zero_stays_finite(self):
+        # Unscaled, the pair's held line has curvature 3e-14, and from b near
+        # 3e6 on its slope is the rounding of c - G b: each move along it
+        # roughly doubled b until it overflowed to [nan, -inf].
+        X, y, _ = lasso_design("near_copy", 6015)
+        opts = LassoOptions(n_lambda=30, max_iter=2000, internal_standardize=False)
+        lambdas = np.append(_lambda_grid(_prepare(X, y, False), opts), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, fits = fit_lasso_path(X, y, opts, lambdas=lambdas)
+        for lam, fit in zip(lambdas, fits):
+            assert np.all(np.isfinite(fit.coefs.values))
+            assert fit.converged or lam == 0.0  # the Gram cannot certify b ~ 3e6
+            assert max(lasso_kkt_residual(X, y, fit, lam, opts)) <= 1e-6
 
 
 class TestKernelSeam:

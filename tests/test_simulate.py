@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,6 +125,21 @@ class TestGenerateReplicate:
         assert data.train.design.shape[0] == 120
         assert data.valid.design.shape[0] == 120
         assert data.test.design.shape[0] == 500
+
+    def test_test_split_is_never_expanded(self):
+        # One expanded setting1 test split is 10,000 x 65 floats (5.2 MB); a
+        # replicate and its four cells, scored from the mains, stay below it.
+        cfg = preset("setting1")
+        expanded = cfg.n_test * len(build_truth(cfg).terms) * 8
+        tracemalloc.start()
+        try:
+            data = generate_replicate(cfg, 0)
+            for method, scheme in DEFAULT_CELLS:
+                run_pipeline(data, method, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < expanded
 
 
 class TestRunPipeline:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hereditas.errors import InvalidDimensionError
@@ -8,6 +8,7 @@ from hereditas.terms import (
     TermSet,
     canonical_terms,
     expand,
+    expand_dot,
     inter,
     main,
     quad,
@@ -143,3 +144,35 @@ class TestExpand:
         with pytest.raises(InvalidDimensionError):
             expand(np.ones((3, 2)), canonical_terms(3))
 
+
+class TestExpandDot:
+    """expand_dot against expand(x, terms) @ v: the same sums in another order."""
+
+    def test_row_products(self):
+        # 2*1 + 3*2 + 6*3 + 4*4 + 9*5, every partial sum exact.
+        out = expand_dot(np.array([[2.0, 3.0]]), canonical_terms(2), [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert out.tolist() == [87.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 50), st.sampled_from(["normal", "lognormal"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_expand(self, p, n, distribution, subset, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        if distribution == "lognormal":
+            x = np.exp(x)
+        terms = canonical_terms(p)
+        if subset:  # a subset in canonical order, as a selected model is
+            keep = rng.random(len(terms)) < 0.5
+            terms = TermSet(p, tuple(t for t, k in zip(terms.terms, keep) if k))
+        v = np.where(rng.random(len(terms)) < 0.4, 0.0, rng.standard_normal(len(terms)))
+        design = expand(x, terms)
+        out = expand_dot(x, terms, v)
+        assert out.shape == (n,)
+        assert np.all(np.abs(out - design @ v) <= 1e-12 * (np.abs(design) @ np.abs(v)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidDimensionError):
+            expand_dot(np.ones((3, 2)), canonical_terms(3), np.zeros(9))
+        with pytest.raises(InvalidDimensionError, match="expected 9 coefficients"):
+            expand_dot(np.ones((3, 3)), canonical_terms(3), np.zeros(8))
