@@ -1,11 +1,12 @@
 """The lasso kernel, in numpy: exact working-set steps in Gram space.
 
-``cd_solve`` has one certificate: the KKT conditions within ``kkt_tol``,
-checked for every column on the gradient ``g = X'(y - X b)/n``.  No residual
-is kept: with ``c = X'y/n`` and the Gram ``G = X'X/n``, every gradient is
-``c - G b`` (the "covariance updates" of Friedman, Hastie & Tibshirani
-2010).  No pass does length-n work, except the move along a held column's
-line (below), whose curvature is read from the data.
+``cd_solve`` has one certificate: the KKT conditions within ``kkt_tol``, or
+the gradient's rounding at b if larger, checked for every column on the
+gradient ``g = X'(y - X b)/n``.  No residual is kept: with ``c = X'y/n`` and
+the Gram ``G = X'X/n``, every gradient is ``c - G b`` (the "covariance
+updates" of Friedman, Hastie & Tibshirani 2010).  No pass does length-n
+work, except the move along a held column's line (below), whose curvature is
+read from the data.
 
 Each pass is one exact step, and ``max_iter`` caps passes.  A step moves b
 toward the minimizer of the objective on the face of a sign vector s
@@ -70,6 +71,10 @@ KERNEL = "python"
 # on such a numerically singular Gram with a tiny positive pivot.
 RANK_TOL = 1e-10
 
+# Rounding floor of a KKT slack, in eps times the data's scale: rounding alone
+# moves X'r/n by more than 1e-7 at a response of 1e10, and c - G b at |b| of 3e6.
+ROUNDING_ULPS = 1e3
+
 
 class Face:
     """The working set of one lasso path and the inverse of its Gram block.
@@ -79,11 +84,13 @@ class Face:
     working set by the rank test, ``inv`` is the inverse of ``G_FF`` in the
     order of ``free``, and ``fresh`` says that ``inv`` was built by
     ``factor`` rather than updated.  ``mask`` marks the working set (free and
-    held), and ``fit`` on an unchanged working set returns at once.
+    held), and ``fit`` on an unchanged working set returns at once.  ``ulp``
+    is the rounding of a gradient ``c - gram @ b`` per unit of ``||b||_1``.
     """
 
     def __init__(self, gram):
         self.gram = gram
+        self.ulp = ROUNDING_ULPS * np.finfo(float).eps * gram.diagonal().max(initial=0.0)
         self.factor([])
 
     def fit(self, signs):
@@ -170,7 +177,8 @@ def cd_solve(XT, c, b, col_nrm2, lam, kkt_tol, max_iter, face):
     while True:
         g = c - face.gram @ b
         active, inactive = _violations(g, b, live, lam)
-        converged = max(active, inactive) <= kkt_tol
+        viol = max(active, inactive)
+        converged = viol <= kkt_tol or viol <= face.ulp * np.abs(b).sum()
         if converged or passes == max_iter:
             break
         passes += 1

@@ -145,11 +145,6 @@ def draw_mains(rng, n: int, p: int, distribution: str) -> np.ndarray:
     return _distribution(distribution)[0](rng, (n, p))
 
 
-def _powers(t: TermId) -> Counter:
-    """The term as a monomial: main index -> exponent."""
-    return Counter((t.i, t.j) if t.kind == INTER else (t.i,) * (2 if t.kind == QUAD else 1))
-
-
 def signal_moments(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> tuple[float, float]:
     """Mean and variance of the signal for i.i.d. main effects, exact.
 
@@ -162,7 +157,7 @@ def signal_moments(truth: TruthSpec, distribution: str = STANDARD_NORMAL) -> tup
     def mean(powers: Counter) -> float:
         return math.prod(moments[k] for k in powers.values())
 
-    terms = [(_powers(t), v) for t, v in truth.active_coefs.items()]
+    terms = [(Counter(t.indices), v) for t, v in truth.active_coefs.items()]
     var = 0.0
     for pt, vt in terms:
         for pu, vu in terms:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignError
-from .kernels import RANK_TOL
+from .kernels import RANK_TOL, ROUNDING_ULPS
 from .metrics import mse
 from .standardize import RAW, CoefficientVector, _zero_spread
 from .terms import MAIN, TermSet, main
@@ -28,11 +28,6 @@ from .terms import MAIN, TermSet, main
 # Internal slack for the KKT convergence certificate; one order tighter
 # than the 1e-6 the contract tests assert.
 KKT_SLACK = 1e-7
-
-# Rounding floor of the KKT slack, in units of eps times the data's scale:
-# on a response of magnitude 1e10 rounding alone moves X'r/n by more than
-# an absolute KKT_SLACK.
-ROUNDING_ULPS = 1e3
 
 # Stepwise screen (see _SweepScreen): a move whose model may have a pivot
 # ratio at or below SCREEN_TOL is scored exactly; SCREEN_SLACK multiplies the
@@ -90,6 +85,7 @@ class FitResult:
     converged: bool
     aic_path: tuple[float, ...] = field(default=())  # stepwise audit trail
     start: str | None = None  # the stepwise starting model, "full" or "null"
+    internal_standardize: bool = True  # lasso: whether its solver scaled the columns
 
 
 def _default_terms(m: int) -> TermSet:
@@ -105,6 +101,7 @@ class _Prepped:
     y_mean: float
     yc: np.ndarray
     c: np.ndarray  # X'yc/n, the kernel's gradient at b = 0
+    internal_standardize: bool
 
 
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +137,7 @@ def _prepare(X, y, internal_standardize: bool) -> _Prepped:
     col_nrm2 = np.mean(XT * XT, axis=1)
     y_mean = float(y.mean())
     yc = y - y_mean
-    return _Prepped(XT, col_nrm2, x_mean, x_scale, y_mean, yc, XT @ yc / n)
+    return _Prepped(XT, col_nrm2, x_mean, x_scale, y_mean, yc, XT @ yc / n, internal_standardize)
 
 
 def _solver_inputs(prep: _Prepped) -> tuple[np.ndarray, float]:
@@ -164,7 +161,8 @@ def _finish(prep, b, lam, passes, converged, terms, scale_tag) -> FitResult:
     slopes = b / prep.x_scale  # exact zeros stay exact
     intercept = prep.y_mean - float(slopes @ prep.x_mean)
     coefs = CoefficientVector(terms, intercept, slopes, scale_tag)
-    return FitResult(coefs, tuning=lam, iterations=passes, converged=converged)
+    return FitResult(coefs, tuning=lam, iterations=passes, converged=converged,
+                     internal_standardize=prep.internal_standardize)
 
 
 def lasso_fit(X, y, lam, opts: LassoOptions | None = None, terms: TermSet | None = None,
@@ -252,8 +250,9 @@ def tune_lasso(train, valid, opts: LassoOptions | None = None, terms: TermSet | 
 
 def lasso_kkt_residual(X, y, fit: FitResult, lam: float,
                        opts: LassoOptions | None = None) -> tuple[float, float]:
-    """Max KKT violations (active, inactive) on the internally standardized scale."""
-    prep = _prepare(X, y, (opts or LassoOptions()).internal_standardize)
+    """Max KKT violations (active, inactive) on the solver's scale: columns
+    standardized internally as ``opts`` says, else as the fit was made."""
+    prep = _prepare(X, y, fit.internal_standardize if opts is None else opts.internal_standardize)
     b = fit.coefs.values * prep.x_scale
     r = prep.yc - prep.XT.T @ b
     return kernels.kkt_violations(prep.XT @ r / len(prep.yc), b, prep.col_nrm2, lam)

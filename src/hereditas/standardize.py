@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateColumnError, InconsistentParamsError, InvalidDimensionError
 from .metrics import median_quartiles
-from .terms import MAIN, QUAD, TermId, TermSet, _main_values, expand, heredity_parents, main
+from .terms import TermId, TermSet, _main_values, expand, heredity_parents, main
 
 MEAN_SD = "mean-sd"
 MEDIAN_IQR = "median-iqr"
@@ -257,10 +257,12 @@ def back_transform_hierarchical(
 ) -> CoefficientVector:
     """Map coefficients fitted on hierarchically standardized columns to the raw scale.
 
-    Slopes follow the substitution (X_j - c_j)/s_j expanded through every
-    second-order product; the intercept collects all constant pieces so that
-    predictions are preserved exactly.  The output term set is the heredity
-    closure of the input (parent mains gain slots when absent).
+    A term T with coefficient v is the product of (X_j - c_j)/s_j over its
+    mains; expanded, it puts v * prod_{T - U}(-c_j) / prod_T s_j on every
+    sub-monomial U of T, counted with multiplicity (U = () is the intercept),
+    so predictions are preserved exactly; powers use ``**``, which fixes their
+    rounding.  The output term set is the heredity closure of the input
+    (parent mains gain slots when absent).
     """
     if std_coefs.scale_tag != HIER_STD:
         raise InconsistentParamsError(
@@ -277,29 +279,20 @@ def back_transform_hierarchical(
     s = ls.scales
 
     out_terms = in_terms.heredity_closure()
-    out = np.zeros(len(out_terms))
-    alpha = {t.i: 0.0 for t in out_terms.terms if t.kind == MAIN}
-    intercept = std_coefs.intercept
-
+    # One slot per raw-scale term, and a last one for the empty monomial: the intercept.
+    slot = {t.indices: k for k, t in enumerate(out_terms.terms)} | {(): len(out_terms)}
+    out = [0.0] * len(out_terms) + [std_coefs.intercept]
     with np.errstate(all="ignore"):
         for t, v in zip(in_terms.terms, std_coefs.values):
-            if t.kind == MAIN:
-                alpha[t.i] += v / s[t.i]
-                intercept -= v * c[t.i] / s[t.i]
-            elif t.kind == QUAD:
-                out[out_terms.index[t]] = v / s[t.i] ** 2
-                alpha[t.i] -= 2.0 * c[t.i] * v / s[t.i] ** 2
-                intercept += v * c[t.i] ** 2 / s[t.i] ** 2
-            else:
-                denom = s[t.i] * s[t.j]
-                out[out_terms.index[t]] = v / denom
-                alpha[t.i] -= c[t.j] * v / denom
-                alpha[t.j] -= c[t.i] * v / denom
-                intercept += v * c[t.i] * c[t.j] / denom
-
-    for j, a in alpha.items():
-        out[out_terms.index[main(j)]] = a
-    return _raw_coefficients(out_terms, intercept, out)
+            # Binomially, over T's powers: (U, v * prod (-c_j)^(n - k), prod C(n, k)).
+            pieces = [((), v, 1)]
+            for j, n in t.monomial.powers:
+                pieces = [(u + (j,) * k, a * (-c[j]) ** (n - k), count * math.comb(n, k))
+                          for u, a, count in pieces for k in range(n + 1)]
+            scale = math.prod(s[j] ** n for j, n in t.monomial.powers)
+            for u, a, count in pieces:
+                out[slot[u]] += count * a / scale
+    return _raw_coefficients(out_terms, float(out[-1]), np.array(out[:-1]))
 
 
 def back_transform_regular(

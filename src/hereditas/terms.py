@@ -1,8 +1,10 @@
 """Symbolic second-order model terms and design-matrix expansion.
 
-A term is a main effect X_j, a quadratic X_j^2, or a two-factor
-interaction X_j*X_k with j < k.  Indices are zero-based internally;
-labels ("X3", "X1:X2", "X3^2") are one-based.
+A term is a monomial in the main effects: the sorted tuple of the main
+indices it multiplies, with multiplicity.  (j,) is the main effect X_j,
+(j, k) with j < k the interaction X_j*X_k, and (j, j) the quadratic X_j^2.
+Indices are zero-based internally; labels ("X3", "X1:X2", "X3^2") are
+one-based.
 
 Canonical column order is: all mains, then all interactions in
 lexicographic (j, k) order, then all quadratics.
@@ -10,7 +12,10 @@ lexicographic (j, k) order, then all quadratics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,74 +25,77 @@ MAIN = "main"
 INTER = "inter"
 QUAD = "quad"
 
-_KIND_RANK = {MAIN: 0, INTER: 1, QUAD: 2}
+MAX_DEGREE = 2  # the highest degree of a term: the model is second order
+
+
+class Monomial(NamedTuple):
+    """What a term reads off its indices T, checked and built once per tuple."""
+
+    kind: str
+    sort_key: tuple  # degree, then distinct indices before repeated ones, then T
+    label: str
+    powers: tuple[tuple[int, int], ...]  # (main index, exponent) pairs in index order
+
+
+@lru_cache(maxsize=None)  # one entry per distinct index tuple
+def _monomial(ix: tuple[int, ...]) -> Monomial:
+    if not (1 <= len(ix) <= MAX_DEGREE and ix[0] >= 0 and list(ix) == sorted(ix)):
+        raise ValueError(f"a term needs 1 to {MAX_DEGREE} sorted nonnegative indices, got {ix}")
+    powers = tuple(Counter(ix).items())
+    repeats = len(ix) - len(powers)
+    label = ":".join(f"X{j + 1}" + (f"^{n}" if n > 1 else "") for j, n in powers)
+    return Monomial(MAIN if len(ix) == 1 else QUAD if repeats else INTER,
+                    (len(ix), repeats, ix), label, powers)
+
 
 @dataclass(frozen=True)
 class TermId:
-    """Identity of one model term.
+    """Identity of one model term: the sorted main indices it multiplies.  ``kind``
+    (MAIN, INTER or QUAD) is read off them, and stored for the class rates."""
 
-    ``i`` is the (smaller) main-effect index; ``j`` is the second index
-    and is only meaningful for interactions (-1 otherwise).
-    """
-
-    kind: str
-    i: int
-    j: int = -1
+    indices: tuple[int, ...]
+    kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown term kind {self.kind!r}")
-        if self.kind == INTER:
-            if not (0 <= self.i < self.j):
-                raise ValueError(
-                    f"interaction indices must satisfy 0 <= i < j, got ({self.i}, {self.j})"
-                )
-        else:
-            if self.i < 0:
-                raise ValueError(f"negative main-effect index {self.i}")
-            if self.j != -1:
-                raise ValueError(f"{self.kind} term takes a single index")
+        object.__setattr__(self, "kind", _monomial(self.indices).kind)  # checks the indices
 
     @property
     def is_second_order(self) -> bool:
-        return self.kind != MAIN
+        return len(self.indices) > 1
+
+    @property
+    def monomial(self) -> Monomial:
+        return _monomial(self.indices)
 
     def parents(self) -> frozenset[int]:
         """Main-effect indices this term is built from (a main is its own parent)."""
-        if self.kind == INTER:
-            return frozenset((self.i, self.j))
-        return frozenset((self.i,))
+        return frozenset(self.indices)
 
     def max_index(self) -> int:
-        return self.j if self.kind == INTER else self.i
+        return self.indices[-1]
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (_KIND_RANK[self.kind], self.i, self.j)
+    def sort_key(self) -> tuple:
+        return _monomial(self.indices).sort_key
 
     def label(self) -> str:
-        if self.kind == MAIN:
-            return f"X{self.i + 1}"
-        if self.kind == QUAD:
-            return f"X{self.i + 1}^2"
-        return f"X{self.i + 1}:X{self.j + 1}"
+        return _monomial(self.indices).label
 
     def __repr__(self) -> str:
         return f"TermId({self.label()!r})"
 
 
 def main(j: int) -> TermId:
-    return TermId(MAIN, j)
+    return TermId((j,))
 
 
 def quad(j: int) -> TermId:
-    return TermId(QUAD, j)
+    return TermId((j, j))
 
 
 def inter(j: int, k: int) -> TermId:
     if j == k:
         raise ValueError(f"interaction needs two distinct indices, got ({j}, {k})")
-    lo, hi = (j, k) if j < k else (k, j)
-    return TermId(INTER, lo, hi)
+    return TermId((j, k) if j < k else (k, j))
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def heredity_parents(terms) -> tuple[set[int], set[int]]:
     Strong heredity holds when required <= mains."""
     terms = set(terms)
     required = set().union(*(t.parents() for t in terms if t.is_second_order))
-    return required, {t.i for t in terms if t.kind == MAIN}
+    return required, {t.indices[0] for t in terms if not t.is_second_order}
 
 
 def canonical_terms(p: int) -> TermSet:
@@ -178,7 +186,7 @@ def _mains_of(raw, terms: TermSet) -> np.ndarray:
 
 
 def expand(raw, terms: TermSet) -> np.ndarray:
-    """Build the n-by-|terms| design: X_j, X_j*X_k, X_j^2 columns in term order.
+    """Build the n-by-|terms| design: each column the product of its term's mains.
 
     Accepts an (n, p) array of raw mains.  Raises InvalidDimensionError when a
     product overflows.
@@ -188,12 +196,10 @@ def expand(raw, terms: TermSet) -> np.ndarray:
     try:
         with np.errstate(over="raise"):
             for col, t in enumerate(terms.terms):
-                if t.kind == MAIN:
-                    out[:, col] = x[:, t.i]
-                elif t.kind == QUAD:
-                    out[:, col] = x[:, t.i] * x[:, t.i]
-                else:
-                    out[:, col] = x[:, t.i] * x[:, t.j]
+                product = x[:, t.indices[0]]
+                for j in t.indices[1:]:
+                    product = product * x[:, j]
+                out[:, col] = product
     except FloatingPointError:
         raise InvalidDimensionError(f"column {t.label()} overflows") from None
     return out
@@ -204,7 +210,7 @@ def expand_dot(raw, terms: TermSet, values) -> np.ndarray:
 
     A second-order model on the mains x is ``x @ a + rowsum((x @ B) * x)``: ``a``
     holds the main coefficients and the upper-triangular p-by-p ``B`` the
-    interaction (B[j, k]) and quadratic (B[j, j]) ones.  The sums run in
+    second-order ones, each at its term's index tuple.  The sums run in
     another order than expand's product, so the result may differ from it in
     its last digits.
     """
@@ -214,11 +220,7 @@ def expand_dot(raw, terms: TermSet, values) -> np.ndarray:
         raise InvalidDimensionError(
             f"expected {len(terms)} coefficients, got shape {values.shape}"
         )
-    a = np.zeros(terms.p)
-    B = np.zeros((terms.p, terms.p))
+    a, B = np.zeros(terms.p), np.zeros((terms.p, terms.p))
     for t, v in zip(terms.terms, values):
-        if t.kind == MAIN:
-            a[t.i] = v
-        else:
-            B[t.i, t.i if t.kind == QUAD else t.j] = v
+        (a, B)[len(t.indices) - 1][t.indices] = v
     return x @ a + np.einsum("ij,ij->i", x @ B, x)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shlex
@@ -707,6 +708,22 @@ class TestStandardizeCommand:
         assert out.data.shape[1] == 9
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=0, ddof=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["hierarchical", "regular"])
+    @pytest.mark.parametrize("estimator", ["mean-sd", "median-iqr"])
+    def test_outputs_match_golden_file(self, tmp_path, scheme, estimator):
+        # Written by an earlier commit; the standardized CSV is pinned by its
+        # header (every label, in canonical order) and the hash of its bytes.
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "four_mains.standardize.json")) as fh:
+            golden = json.load(fh)[f"{scheme}/{estimator}"]
+        assert main(["standardize", os.path.join(data, "four_mains.csv"), "--response", "y",
+                     "--scheme", scheme, "--estimator", estimator,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / f"four_mains.{scheme}.params.json").read_text() == golden["params.json"]
+        matrix = (tmp_path / f"four_mains.{scheme}.standardized.csv").read_bytes()
+        assert matrix.split(b"\n", 1)[0].decode() == golden["standardized.csv"]["header"]
+        assert hashlib.sha256(matrix).hexdigest() == golden["standardized.csv"]["sha256"]
 
     def test_seed_flag_rejected(self, tmp_path):
         # standardize draws nothing, so it takes no seed; its manifest records none.

@@ -445,8 +445,26 @@ class TestHeldColumns:
             _, fits = fit_lasso_path(X, y, opts, lambdas=lambdas)
         for lam, fit in zip(lambdas, fits):
             assert np.all(np.isfinite(fit.coefs.values))
-            assert fit.converged or lam == 0.0  # the Gram cannot certify b ~ 3e6
+            assert fit.converged or lam == 0.0  # lambda = 0 is pinned by the test below
             assert max(lasso_kkt_residual(X, y, fit, lam, opts)) <= 1e-6
+
+    def test_near_copy_pair_at_lambda_zero_converges(self):
+        # At b near +-3.37e6 the gradient c - G b carries about 2e-7 of
+        # rounding, so a certificate that ignores it ran to max_iter.
+        X, y, _ = lasso_design("near_copy", 6015)
+        opts = LassoOptions(internal_standardize=False)
+        fit = lasso_fit(X, y, 0.0, opts)
+        assert fit.converged and fit.iterations <= 5
+        assert max(lasso_kkt_residual(X, y, fit, 0.0, opts)) <= 1e-6
+
+    def test_kkt_residual_checks_the_problem_the_fit_solved(self):
+        # Without opts the check reads the fit's own scaling; it used to check
+        # the internally standardized problem and read 3.7e-4 here.
+        X, y, _ = lasso_design("near_copy", 6015)
+        fit = lasso_fit(X, y, 4.2e-4, LassoOptions(internal_standardize=False))
+        assert fit.converged
+        assert max(lasso_kkt_residual(X, y, fit, 4.2e-4)) <= 1e-6
+        assert not fit.internal_standardize
 
 
 class TestKernelSeam:

@@ -93,10 +93,10 @@ class TestSensitivitySpecificity:
 
         def relabel(t):
             if t.kind == "main":
-                return main(int(perm[t.i]))
+                return main(int(perm[t.indices[0]]))
             if t.kind == "quad":
-                return quad(int(perm[t.i]))
-            return inter(int(perm[t.i]), int(perm[t.j]))
+                return quad(int(perm[t.indices[0]]))
+            return inter(int(perm[t.indices[0]]), int(perm[t.indices[1]]))
 
         truth = truth_setting1()
         sel = frozenset(t for t in TS10.terms if rng.random() < 0.3)

@@ -174,9 +174,9 @@ class TestStandardizeHierarchical:
         for t in TS3.terms:
             col = z[:, TS3.index[t]]
             if t.kind == "inter":
-                np.testing.assert_array_equal(col, m[:, t.i] * m[:, t.j])
+                np.testing.assert_array_equal(col, m[:, t.indices[0]] * m[:, t.indices[1]])
             elif t.kind == "quad":
-                np.testing.assert_array_equal(col, m[:, t.i] ** 2)
+                np.testing.assert_array_equal(col, m[:, t.indices[0]] ** 2)
 
 
 class TestStandardizeRegular:

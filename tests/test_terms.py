@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hereditas.errors import InvalidDimensionError
 from hereditas.terms import (
+    TermId,
     TermSet,
     canonical_terms,
     expand,
@@ -22,11 +23,11 @@ def naive_expand(x, terms):
     for c, t in enumerate(terms.terms):
         for i in range(n):
             if t.kind == "main":
-                out[i, c] = x[i, t.i]
+                out[i, c] = x[i, t.indices[0]]
             elif t.kind == "quad":
-                out[i, c] = x[i, t.i] ** 2
+                out[i, c] = x[i, t.indices[0]] ** 2
             else:
-                out[i, c] = x[i, t.i] * x[i, t.j]
+                out[i, c] = x[i, t.indices[0]] * x[i, t.indices[1]]
     return out
 
 
@@ -91,6 +92,19 @@ class TestTermId:
         assert main(2).label() == "X3"
         assert inter(0, 1).label() == "X1:X2"
         assert quad(2).label() == "X3^2"
+
+    def test_a_term_is_its_sorted_index_tuple(self):
+        assert (main(2).indices, inter(3, 1).indices, quad(2).indices) == ((2,), (1, 3), (2, 2))
+        assert TermId((1, 3)) == inter(1, 3)
+        assert [t.kind for t in (main(0), inter(0, 1), quad(0))] == ["main", "inter", "quad"]
+        for bad in [(), (-1,), (1, 0), (0, 1, 2)]:
+            with pytest.raises(ValueError):
+                TermId(bad)
+
+    def test_powers_count_multiplicity(self):
+        assert main(2).monomial.powers == ((2, 1),)
+        assert inter(0, 3).monomial.powers == ((0, 1), (3, 1))
+        assert quad(2).monomial.powers == ((2, 2),)
 
 
 class TestTermSet:
