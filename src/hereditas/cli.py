@@ -226,7 +226,9 @@ def _split_response(table, name: str):
     """(the table without the response column, the response column)."""
     if name not in table.columns:
         raise InvalidConfigError(f"response column {name!r} not in {list(table.columns)}")
-    return table.drop(name), table.column(name)
+    j = table.columns.index(name)
+    rest = table.columns[:j] + table.columns[j + 1:]
+    return replace(table, columns=rest, data=np.delete(table.data, j, axis=1)), table.data[:, j]
 
 
 def cmd_fit(args) -> int:
@@ -254,23 +256,24 @@ def cmd_fit(args) -> int:
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.method}.{args.scheme}"
     coef_path = os.path.join(args.out_dir, f"{stem}.coefficients.csv")
     write_coefficients_csv(coef_path, raw)
+    standardization = to_json(fitted.params)  # records the estimator its scheme used
     summary = {
         "method": args.method,
         "scheme": args.scheme,
-        "estimator": args.estimator,
+        "estimator": standardization["estimator"],
         "heredity": "satisfied" if ok else "violated",
         "violators": [t.label() for t in violators],
         "test_mse": test_mse,
         "n_selected": len(raw.selected()),
         "split_sizes": {"train": n_tr, "valid": n_va, "test": n_te},
         "tuning": fitted.tuning,
-        "standardization": to_json(fitted.params),
+        "standardization": standardization,
     }
     json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
     atomic_write_text(json_path, dump_json(summary))
     run_config = {
         "data": file_sha256(args.data), "split": args.split, "response": args.response,
-        "method": args.method, "scheme": args.scheme, "estimator": args.estimator,
+        "method": args.method, "scheme": args.scheme, "estimator": summary["estimator"],
         **option_docs,
     }
     _write_manifest(args.out_dir, args.command_line, run_config,
@@ -302,10 +305,11 @@ def cmd_standardize(args) -> int:
     matrix_path = os.path.join(args.out_dir, f"{stem}.standardized.csv")
     params_path = os.path.join(args.out_dir, f"{stem}.params.json")
     write_matrix_csv(matrix_path, terms.labels(), z)
-    atomic_write_text(params_path, dump_json(to_json(params)))
+    params_doc = to_json(params)  # records the estimator its scheme used
+    atomic_write_text(params_path, dump_json(params_doc))
     _write_manifest(args.out_dir, args.command_line,
                     {"data": file_sha256(args.data), "scheme": args.scheme,
-                     "estimator": args.estimator,
+                     "estimator": params_doc["estimator"],
                      "response": args.response}, None, started,
                     [matrix_path, params_path], stem)
     print(f"wrote {matrix_path} and {params_path}")

@@ -93,14 +93,6 @@ class TabularFile:
     columns: tuple[str, ...]
     data: np.ndarray
 
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.columns.index(name)]
-
-    def drop(self, name: str) -> "TabularFile":
-        j = self.columns.index(name)
-        keep = [k for k in range(len(self.columns)) if k != j]
-        return TabularFile(tuple(c for c in self.columns if c != name), self.data[:, keep])
-
 
 def read_table(path) -> TabularFile:
     """The table at ``path``: a csv-parsed header of unique names, then the
@@ -144,13 +136,11 @@ def _name_bad_cell(path, header: list[str], body: list[str], rejected) -> None:
             raise InvalidDimensionError(
                 f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
             )
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            name, cell = next((n, c) for n, c in zip(header, row) if not _is_number(c))
-            raise InvalidDimensionError(
-                f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}"
-            ) from None
+        for name, cell in zip(header, row):
+            if not _is_number(cell):
+                raise InvalidDimensionError(
+                    f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}")
+        rows.append([float(cell) for cell in row])
         linenos.append(lineno)
     if not rows:
         raise InvalidDimensionError(f"{path}: no data rows")
@@ -164,11 +154,13 @@ def _name_bad_cell(path, header: list[str], body: list[str], rejected) -> None:
 
 
 def _is_number(cell: str) -> bool:
+    """Whether numpy's parser reads cell as a number: float() does, and the
+    cell holds no underscore ("1_000") or non-ASCII digit once stripped."""
     try:
         float(cell)
     except ValueError:
         return False
-    return True
+    return cell.strip().isascii() and "_" not in cell
 
 
 def _write_csv(path, header: list[str], rows) -> None:

@@ -176,7 +176,7 @@ def cd_solve(XT, c, b, col_nrm2, lam, kkt_tol, max_iter, face):
     passes = 0
     while True:
         g = c - face.gram @ b
-        active, inactive = _violations(g, b, live, lam)
+        active, inactive = kkt_violations(g, b, live, lam)
         viol = max(active, inactive)
         converged = viol <= kkt_tol or viol <= face.ulp * np.abs(b).sum()
         if converged or passes == max_iter:
@@ -270,14 +270,11 @@ def _move(b, step, t_max, lam):
     return edge is not None
 
 
-def kkt_violations(g, b, col_nrm2, lam):
+def kkt_violations(g, b, live, lam):
     """Largest KKT violations (active, inactive) of b, given the gradient
     g = X'(y - X b)/n: |g_j - lam * sign(b_j)| over live nonzero
-    coefficients, and |g_j| - lam, floored at zero, over live zero ones."""
-    return _violations(g, b, col_nrm2 > 0.0, lam)
-
-
-def _violations(g, b, live, lam):
+    coefficients, and |g_j| - lam, floored at zero, over live zero ones;
+    ``live`` masks the columns that are not inert."""
     active, inactive = live & (b != 0.0), live & (b == 0.0)
     return (float(np.abs(g[active] - lam * np.sign(b[active])).max(initial=0.0)),
             float((np.abs(g[inactive]) - lam).max(initial=0.0)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,8 +29,6 @@ _MAIN_DISTRIBUTIONS = {
     LOGNORMAL01: (lambda rng, shape: rng.lognormal(0.0, 1.0, size=shape),
                   tuple(math.exp(k * k / 2) for k in range(5))),
 }
-DISTRIBUTIONS = tuple(_MAIN_DISTRIBUTIONS)
-MOMENTS = {name: moments for name, (_, moments) in _MAIN_DISTRIBUTIONS.items()}
 
 
 def _distribution(name: str):
@@ -46,11 +44,15 @@ TERM_CLASSES = (MAIN, INTER, QUAD)
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """The generative truth: ambient terms, active coefficients, noise SD."""
+    """The generative truth: ambient terms, active coefficients, noise SD.  Built
+    from them once: the ``active`` terms, and each term class's (active,
+    inactive) terms in ``classes``."""
 
     terms: TermSet
     active_coefs: Mapping[TermId, float]
     sigma: float
+    active: frozenset[TermId] = field(init=False, repr=False, compare=False)
+    classes: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "active_coefs", dict(self.active_coefs))
@@ -61,10 +63,12 @@ class TruthSpec:
                 raise InvalidConfigError(f"active term {t.label()} outside the ambient set")
             if v == 0.0:
                 raise InvalidConfigError(f"active term {t.label()} has a zero coefficient")
-
-    @property
-    def active(self) -> frozenset[TermId]:
-        return frozenset(self.active_coefs)
+        object.__setattr__(self, "active", frozenset(self.active_coefs))
+        classes = {kind: ([], []) for kind in TERM_CLASSES}
+        for t in self.terms:
+            classes[t.kind][t not in self.active].append(t)
+        object.__setattr__(self, "classes", {kind: (frozenset(a), frozenset(i))
+                                             for kind, (a, i) in classes.items()})
 
     def coefficient_array(self) -> np.ndarray:
         out = np.zeros(len(self.terms))
@@ -98,29 +102,25 @@ def _ratio(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
-def _rates(selected, truth: TruthSpec, kinds=TERM_CLASSES) -> tuple[float | None, float | None]:
-    """(sensitivity, specificity) of a selection over the truth's terms of the given kinds."""
+def _rates(selected: Iterable[TermId], truth: TruthSpec) -> dict[str | None, tuple]:
+    """(sensitivity, specificity) per term class, and over every class under
+    the key None, from four counts per class: selected active, active,
+    unselected inactive and inactive terms."""
     selected = frozenset(selected)
-    terms = {t for t in truth.terms if t.kind in kinds}
-    active, inactive = terms & truth.active, terms - truth.active
-    return (_ratio(len(selected & active), len(active)),
-            _ratio(len(inactive - selected), len(inactive)))
+    counts = {kind: (len(selected & active), len(active),
+                     len(inactive) - len(selected & inactive), len(inactive))
+              for kind, (active, inactive) in truth.classes.items()}
+    counts[None] = tuple(map(sum, zip(*counts.values())))
+    return {key: (_ratio(hit, n_active), _ratio(rejected, n_inactive))
+            for key, (hit, n_active, rejected, n_inactive) in counts.items()}
 
 
 def sensitivity(selected: Iterable[TermId], truth: TruthSpec) -> float | None:
-    return _rates(selected, truth)[0]
+    return _rates(selected, truth)[None][0]
 
 
 def specificity(selected: Iterable[TermId], truth: TruthSpec) -> float | None:
-    return _rates(selected, truth)[1]
-
-
-def sensitivity_by_class(selected: Iterable[TermId], truth: TruthSpec) -> dict[str, float | None]:
-    return {kind: _rates(selected, truth, (kind,))[0] for kind in TERM_CLASSES}
-
-
-def specificity_by_class(selected: Iterable[TermId], truth: TruthSpec) -> dict[str, float | None]:
-    return {kind: _rates(selected, truth, (kind,))[1] for kind in TERM_CLASSES}
+    return _rates(selected, truth)[None][1]
 
 
 def mse(predictions, y) -> float:
@@ -228,12 +228,14 @@ class ReplicateMetrics:
 
 def score_selection(selected: frozenset[TermId], truth: TruthSpec,
                     test_mse: float) -> ReplicateMetrics:
+    rates = _rates(selected, truth)
+    sens, spec = rates.pop(None)
     return ReplicateMetrics(
         msh=msh(selected),
-        sensitivity=sensitivity(selected, truth),
-        specificity=specificity(selected, truth),
-        sensitivity_by_class=sensitivity_by_class(selected, truth),
-        specificity_by_class=specificity_by_class(selected, truth),
+        sensitivity=sens,
+        specificity=spec,
+        sensitivity_by_class={kind: r[0] for kind, r in rates.items()},
+        specificity_by_class={kind: r[1] for kind, r in rates.items()},
         mse=test_mse,
         n_selected=len(selected),
     )

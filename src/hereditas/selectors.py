@@ -23,7 +23,7 @@ from .errors import InfeasibleStartError, InvalidDimensionError, SingularDesignE
 from .kernels import RANK_TOL, ROUNDING_ULPS
 from .metrics import mse
 from .standardize import RAW, CoefficientVector, _zero_spread
-from .terms import MAIN, TermSet, main
+from .terms import TermSet, main
 
 # Internal slack for the KKT convergence certificate; one order tighter
 # than the 1e-6 the contract tests assert.
@@ -255,7 +255,7 @@ def lasso_kkt_residual(X, y, fit: FitResult, lam: float,
     prep = _prepare(X, y, fit.internal_standardize if opts is None else opts.internal_standardize)
     b = fit.coefs.values * prep.x_scale
     r = prep.yc - prep.XT.T @ b
-    return kernels.kkt_violations(prep.XT @ r / len(prep.yc), b, prep.col_nrm2, lam)
+    return kernels.kkt_violations(prep.XT @ r / len(prep.yc), b, prep.col_nrm2 > 0.0, lam)
 
 
 def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
@@ -270,19 +270,6 @@ def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
         raise SingularDesignError(f"design rank {rank} < {m + 1}")
     resid = y - z @ beta
     return float(beta[0]), beta[1:], float(resid @ resid)
-
-
-def cholesky(g, k=None):
-    """The rank test: the lower Cholesky factor of g and its smallest pivot
-    ratio L_jj^2 / g_jj over the columns of ``g[:k]`` (all by default).  A
-    ratio at or below RANK_TOL marks g singular; so does a factorization
-    that fails, as (None, 0.0)."""
-    try:
-        factor = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return None, 0.0
-    pivots = factor.diagonal()[:k]
-    return factor, float((pivots * pivots / g.diagonal()[:k]).min())
 
 
 class _GramSearch:
@@ -312,9 +299,17 @@ class _GramSearch:
 
     def solve(self, cols: tuple[int, ...]):
         """(RSS, smallest pivot ratio L_kk^2 / G_kk, bordered factor) of one
-        model; a rank-deficient model has infinite RSS and no factor."""
+        model.  The rank test: a ratio (over the model's columns, the corner
+        left out) at or below RANK_TOL, or a failed factorization (ratio 0.0),
+        marks the model rank deficient, with infinite RSS and no factor."""
         idx = np.array((-1, *cols, self.m), dtype=np.intp) + 1
-        factor, ratio = cholesky(self.bordered[idx][:, idx], -1)
+        g = self.bordered[idx][:, idx]
+        try:
+            factor = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return math.inf, 0.0, None
+        pivots = factor.diagonal()[:-1]
+        ratio = float((pivots * pivots / g.diagonal()[:-1]).min())
         if ratio <= RANK_TOL:
             return math.inf, ratio, None
         w = factor[-1, :-1]
@@ -433,14 +428,6 @@ class _SweepScreen:
         return [(j, None if unsure[j] else (lo[j], hi[j])) for j in order]
 
 
-def _all_moves(current: tuple[int, ...], m: int, deletions: bool,
-               additions: bool) -> list[int]:
-    """Every allowed one-column move in canonical order: deletions, then additions."""
-    in_model = set(current)
-    return ((list(current) if deletions else [])
-            + ([j for j in range(m) if j not in in_model] if additions else []))
-
-
 def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
     """Exact AIC of each move (a column in the model is deleted, any other
     added), in the given order.  Returns the per-move AICs and the first
@@ -472,7 +459,9 @@ def _step(search: _GramSearch, screen: _SweepScreen | None, current: tuple[int, 
         scores, best = _best_move(search, current, [j for j, _ in short])
         if all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
             return best, screen
-    moves = _all_moves(current, search.m, deletions, additions)
+    # Every allowed move in canonical order: deletions, then additions.
+    moves = ((list(current) if deletions else [])
+             + ([j for j in range(search.m) if j not in current] if additions else []))
     return _best_move(search, current, moves)[1], None
 
 
@@ -514,7 +503,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     search = _GramSearch(X, y)
     current: tuple[int, ...] = tuple(range(m)) if full else ()
     rss, ratio, _ = search.solve(current)
-    mains = tuple(j for j, t in enumerate(terms.terms) if t.kind == MAIN)
+    mains = tuple(j for j, t in enumerate(terms.terms) if not t.is_second_order)
     if opts.start == AUTO_START and full and ratio <= RANK_TOL < search.solve(mains)[1]:
         full, current = False, ()
         rss, ratio, _ = search.solve(current)

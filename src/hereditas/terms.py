@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -71,9 +71,6 @@ class TermId:
         """Main-effect indices this term is built from (a main is its own parent)."""
         return frozenset(self.indices)
 
-    def max_index(self) -> int:
-        return self.indices[-1]
-
     def sort_key(self) -> tuple:
         return _monomial(self.indices).sort_key
 
@@ -117,7 +114,7 @@ class TermSet:
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("terms must be unique and in canonical order")
         for t in self.terms:
-            if t.max_index() >= self.p:
+            if t.indices[-1] >= self.p:
                 raise ValueError(f"term {t.label()} out of range for p={self.p}")
 
     def __len__(self) -> int:
@@ -129,13 +126,9 @@ class TermSet:
     def __contains__(self, t: TermId) -> bool:
         return t in self.index
 
-    @property
+    @cached_property
     def index(self) -> dict[TermId, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {t: i for i, t in enumerate(self.terms)}
-            self.__dict__["_index"] = cached
-        return cached
+        return {t: i for i, t in enumerate(self.terms)}
 
     def labels(self) -> list[str]:
         return [t.label() for t in self.terms]

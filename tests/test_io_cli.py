@@ -14,7 +14,7 @@ import pytest
 import hereditas
 from hereditas import cli
 from hereditas.cli import main, split_sizes
-from hereditas.errors import InvalidDimensionError
+from hereditas.errors import InconsistentParamsError, InvalidDimensionError
 from hereditas.io import atomic_write_text, from_json_fields, read_table, to_json
 from hereditas.selectors import LassoOptions, StepwiseOptions
 from hereditas.simulate import CampaignReport, SettingConfig, build_truth, preset
@@ -117,6 +117,21 @@ class TestReadTable:
         with pytest.raises(InvalidDimensionError, match="row 3 has 1 cells, expected 2"):
             read_table(path)
 
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+    def test_cell_that_only_float_reads_is_named(self, tmp_path, cell):
+        # Python's float() reads underscores and non-ASCII digits; numpy does not.
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,y\n{cell},2\n", encoding="utf-8")
+        with pytest.raises(InvalidDimensionError,
+                           match=f"row 2, column 'a': non-numeric cell '{cell}'"):
+            read_table(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(InvalidDimensionError, match="empty file"):
+            read_table(path)
+
     def test_header_only_file_has_no_data_rows_and_no_warning(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n\n")
@@ -166,6 +181,12 @@ class TestToJson:
 
 
 class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # A lone surrogate cannot be encoded, so the write fails midway.
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "out.txt", "ok\ud800")
+        assert os.listdir(tmp_path) == []
+
     def test_no_tmp_left_behind(self, tmp_path):
         target = tmp_path / "out.txt"
         atomic_write_text(target, "hello\n")
@@ -667,6 +688,37 @@ class TestFitCommand:
             manifest = tmp_path / f"data.lasso.{scheme}.manifest.json"
             hashes.add(json.loads(manifest.read_text())["config_hash"])
         assert len(hashes) == 2
+
+    @pytest.mark.parametrize("command,stem", [
+        (["fit", "data.csv", "--method", "stepwise"], "data.stepwise.regular"),
+        (["standardize", "data.csv", "--response", "y"], "data.regular"),
+    ], ids=["fit", "standardize"])
+    def test_regular_scheme_records_mean_sd_for_either_estimator(
+            self, dataset_csv, tmp_path, monkeypatch, command, stem):
+        # Regular standardization is mean/SD whatever --estimator says, so both
+        # values write the same documents and the same config hash.
+        monkeypatch.chdir(tmp_path)
+        recorded, hashes = set(), set()
+        for estimator in ("mean-sd", "median-iqr"):
+            out = tmp_path / estimator
+            assert main(command + ["--scheme", "regular", "--estimator", estimator,
+                                   "--out-dir", str(out)]) == 0
+            if command[0] == "fit":
+                summary = json.loads((out / f"{stem}.fit.json").read_text())
+                recorded |= {summary["estimator"], summary["standardization"]["estimator"]}
+            else:
+                recorded.add(json.loads((out / f"{stem}.params.json").read_text())["estimator"])
+            hashes.add(json.loads((out / f"{stem}.manifest.json").read_text())["config_hash"])
+        assert recorded == {"mean-sd"} and len(hashes) == 1
+
+    def test_inconsistent_params_exit_1(self, dataset_csv, tmp_path, monkeypatch, capsys):
+        # Parameters that do not match their terms are a bug, not a usage error.
+        def mismatch(*args):
+            raise InconsistentParamsError("params do not cover the coefficient vector's terms")
+
+        monkeypatch.setattr(cli, "standardize_train", mismatch)
+        assert main(["standardize", str(dataset_csv), "--out-dir", str(tmp_path)]) == 1
+        assert "error: params do not cover" in capsys.readouterr().err
 
     def test_missing_response_exit_2(self, dataset_csv, tmp_path, capsys):
         rc = main(["fit", str(dataset_csv), "--response", "zz", "--out-dir", str(tmp_path)])

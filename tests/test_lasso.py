@@ -136,6 +136,15 @@ class TestLassoFit:
         _, coefs, _ = ols_fit(x, y)
         np.testing.assert_allclose(fit.coefs.values, coefs, atol=1e-6)
 
+    def test_rows_of_x_and_y_must_match(self):
+        for x in (np.ones((3, 2)), np.ones(4)):
+            with pytest.raises(InvalidDimensionError, match="one row per response entry"):
+                ols_fit(x, np.ones(4))
+
+    def test_one_row_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="need at least 2 rows"):
+            lasso_fit(np.ones((1, 2)), np.ones(1), 0.1)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             lasso_fit(np.ones((3, 1)), np.ones(3), -0.1)
@@ -161,6 +170,11 @@ class TestLambdaPath:
         assert path.shape == (1,)
         fit = lasso_fit(x, y, path[0])
         assert np.all(fit.coefs.values == 0.0)
+
+    def test_explicit_min_ratio_ends_the_grid(self):
+        x, y = random_problem(np.random.default_rng(22))
+        path = lambda_path(x, y, LassoOptions(n_lambda=10, lambda_min_ratio=0.05))
+        assert path[-1] / path[0] == pytest.approx(0.05, rel=1e-12)
 
     def test_first_path_solution_all_zero(self):
         rng = np.random.default_rng(21)

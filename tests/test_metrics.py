@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hereditas.errors import InvalidConfigError, InvalidDimensionError, UnsupportedDistributionError
 from hereditas.metrics import (
@@ -10,11 +12,10 @@ from hereditas.metrics import (
     mse,
     msh,
     msh_counts,
+    score_selection,
     sensitivity,
-    sensitivity_by_class,
     snr,
     specificity,
-    specificity_by_class,
 )
 from hereditas.simulate import PRESETS, build_truth, preset
 from hereditas.terms import canonical_terms, expand, inter, main, quad
@@ -71,8 +72,8 @@ class TestSensitivitySpecificity:
         rng = np.random.default_rng(0)
         truth = truth_setting1()
         sel = frozenset(t for t in TS10.terms if rng.random() < 0.4)
-        sens_c = sensitivity_by_class(sel, truth)
-        spec_c = specificity_by_class(sel, truth)
+        scores = score_selection(sel, truth, 0.0)
+        sens_c, spec_c = scores.sensitivity_by_class, scores.specificity_by_class
         num_sens = sum(len({t for t in sel if t.kind == k} & truth.active)
                        for k in ("main", "inter", "quad"))
         assert num_sens == len(sel & truth.active)
@@ -108,10 +109,11 @@ class TestSensitivitySpecificity:
 
     def test_empty_denominators_absent(self):
         truth = TruthSpec(canonical_terms(2), {main(0): 1.0, main(1): 2.0}, 1.0)
-        sens_c = sensitivity_by_class({main(0)}, truth)
+        scores = score_selection(frozenset({main(0)}), truth, 0.0)
+        sens_c = scores.sensitivity_by_class
         assert sens_c["inter"] is None and sens_c["quad"] is None
         # all mains active -> main-specificity undefined
-        spec_c = specificity_by_class({main(0)}, truth)
+        spec_c = scores.specificity_by_class
         assert spec_c["main"] is None
 
 
@@ -207,3 +209,40 @@ class TestTruthSpec:
     def test_rejects_bad_sigma(self):
         with pytest.raises(InvalidConfigError):
             TruthSpec(canonical_terms(2), {main(0): 1.0}, 0.0)
+
+
+@st.composite
+def truths_and_selections(draw):
+    """(truth, selection) over the full term set of 1 to 6 mains: any support,
+    so a term class may hold no active or no inactive term, and any selection."""
+    terms = canonical_terms(draw(st.integers(1, 6)))
+    pick = st.frozensets(st.sampled_from(terms.terms))
+    return TruthSpec(terms, {t: 1.0 for t in draw(pick)}, 1.0), draw(pick)
+
+
+def _oracle_rates(selected, truth, kinds):
+    """(sensitivity, specificity) by brute force over the truth's terms of the given kinds."""
+    pool = [t for t in truth.terms.terms if t.kind in kinds]
+    active = [t for t in pool if t in truth.active_coefs]
+    inactive = [t for t in pool if t not in truth.active_coefs]
+    return (sum(t in selected for t in active) / len(active) if active else None,
+            sum(t not in selected for t in inactive) / len(inactive) if inactive else None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=truths_and_selections())
+def test_scores_match_a_set_oracle(case):
+    truth, selected = case
+    scores = score_selection(selected, truth, 2.5)
+    required = {j for t in selected if len(t.indices) == 2 for j in t.indices}
+    present = required & {t.indices[0] for t in selected if len(t.indices) == 1}
+    assert scores.msh == (len(present) / len(required) if required else 1.0)
+    overall = _oracle_rates(selected, truth, ("main", "inter", "quad"))
+    assert (scores.sensitivity, scores.specificity) == overall
+    assert (sensitivity(selected, truth), specificity(selected, truth)) == overall
+    for kind in ("main", "inter", "quad"):
+        assert (scores.sensitivity_by_class[kind],
+                scores.specificity_by_class[kind]) == _oracle_rates(selected, truth, (kind,))
+    assert list(scores.sensitivity_by_class) == list(scores.specificity_by_class) == [
+        "main", "inter", "quad"]
+    assert scores.mse == 2.5 and scores.n_selected == len(selected)

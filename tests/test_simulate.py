@@ -10,6 +10,7 @@ from hereditas.io import dump_json, from_json_fields, to_json
 from hereditas import simulate
 from hereditas.selectors import FitResult, LassoOptions, StepwiseOptions
 from hereditas.simulate import (
+    CampaignReport,
     DEFAULT_CELLS,
     HIERARCHICAL,
     LASSO,
@@ -24,9 +25,10 @@ from hereditas.simulate import (
     preset,
     run_campaign,
     run_pipeline,
+    standardize_train,
 )
-from hereditas.standardize import MEDIAN_IQR, CoefficientVector
-from hereditas.terms import inter, main, quad
+from hereditas.standardize import MEAN_SD, MEDIAN_IQR, CoefficientVector
+from hereditas.terms import canonical_terms, inter, main, quad
 
 FAST = dict(n_train=120, n_valid=120, n_test=500, replicates=2)
 
@@ -226,6 +228,12 @@ class TestRunCampaign:
         assert agg.se == pytest.approx(np.std(per, ddof=1) / np.sqrt(2))
         assert cell.aggregates["msh"].mean == 1.0
         assert cell.aggregates["msh"].se == 0.0
+
+    def test_unknown_cell_or_scheme(self):
+        with pytest.raises(KeyError):
+            CampaignReport(fast_cfg(), (), None, False).cell(LASSO, REGULAR)
+        with pytest.raises(InvalidConfigError, match="unknown scheme 'z-score'"):
+            standardize_train(np.ones((4, 1)), canonical_terms(1), "z-score", MEAN_SD)
 
     def test_thread_count_does_not_change_report(self):
         cfg = fast_cfg(replicates=4)

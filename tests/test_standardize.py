@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from hereditas.errors import DegenerateColumnError, InconsistentParamsError, InvalidConfigError
+from hereditas.errors import (
+    DegenerateColumnError,
+    InconsistentParamsError,
+    InvalidConfigError,
+    InvalidDimensionError,
+)
 from hereditas.io import from_json_fields, to_json
 from hereditas.standardize import (
     HIER_STD,
@@ -277,6 +282,44 @@ class TestBackTransformHierarchical:
         assert raw.value(main(1)) == pytest.approx(-0.5 * 2.0 / 2.0)
         ok, violators = check_heredity(raw)
         assert ok and not violators
+
+
+class TestRejectedInputs:
+    """Each raise of the coefficient vector, the estimators, the transforms
+    and the back-transforms, reached from the input that trips it."""
+
+    LS3 = LocationScale(MEAN_SD, [0.5] * 3, [1.0] * 3, [0.0] * 3)
+
+    def test_coefficient_vector_checks(self):
+        with pytest.raises(InvalidDimensionError, match="expected 9 coefficients"):
+            CoefficientVector(TS3, 0.0, np.zeros(8), RAW)
+        with pytest.raises(ValueError, match="unknown scale tag 'log'"):
+            CoefficientVector(TS3, 0.0, np.zeros(9), "log")
+        with pytest.raises(InvalidDimensionError, match="design has 3 columns, expected 9"):
+            CoefficientVector(TS3, 0.0, np.zeros(9), RAW).predict(np.ones((2, 3)))
+
+    def test_unknown_estimator(self):
+        with pytest.raises(ValueError, match="unknown estimator 'mode'"):
+            fit_location_scale(np.ones((4, 2)), "mode")
+
+    def test_transforms_check_p(self):
+        with pytest.raises(InconsistentParamsError, match="design has 2 mains"):
+            standardize_mains(np.ones((4, 2)), self.LS3)
+        with pytest.raises(InconsistentParamsError, match="term set expects p=2"):
+            standardize_hierarchical(np.ones((4, 3)), self.LS3, canonical_terms(2))
+
+    def test_hierarchical_back_transform_checks_the_term_set(self):
+        cv = make_hier_coefs(TS3, {main(0): 1.0})
+        with pytest.raises(InconsistentParamsError, match="does not match the given term set"):
+            back_transform_hierarchical(cv, self.LS3, TermSet(3, (main(0),)))
+
+    def test_regular_back_transform_checks(self):
+        params = RegularParams(TS3, np.zeros(9), np.ones(9))
+        with pytest.raises(InconsistentParamsError, match="expected coefficients tagged"):
+            back_transform_regular(CoefficientVector(TS3, 0.0, np.zeros(9), RAW), params)
+        cv = CoefficientVector(canonical_terms(2), 0.0, np.zeros(5), REGULAR_STD)
+        with pytest.raises(InconsistentParamsError, match="params do not cover"):
+            back_transform_regular(cv, params)
 
 
 class TestBackTransformRegular:

@@ -101,6 +101,9 @@ class TestTermId:
             with pytest.raises(ValueError):
                 TermId(bad)
 
+    def test_repr_is_the_label(self):
+        assert repr(inter(0, 2)) == "TermId('X1:X3')"
+
     def test_powers_count_multiplicity(self):
         assert main(2).monomial.powers == ((2, 1),)
         assert inter(0, 3).monomial.powers == ((0, 1), (3, 1))
@@ -115,6 +118,10 @@ class TestTermSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             TermSet(3, (main(0), main(0)))
+
+    def test_needs_a_main(self):
+        with pytest.raises(InvalidDimensionError, match="p=0"):
+            TermSet(0, ())
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -157,6 +164,10 @@ class TestExpand:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidDimensionError):
             expand(np.ones((3, 2)), canonical_terms(3))
+
+    def test_design_must_be_2d(self):
+        with pytest.raises(InvalidDimensionError, match="expected a 2-d design"):
+            expand(np.ones(3), canonical_terms(1))
 
 
 class TestExpandDot:
