@@ -23,7 +23,6 @@ from .io import (
     atomic_write_text,
     config_hash,
     dump_json,
-    file_sha256,
     from_json_fields,
     read_table,
     to_json,
@@ -222,19 +221,18 @@ def _parse_split(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _split_response(table, name: str):
-    """(the table without the response column, the response column)."""
-    if name not in table.columns:
-        raise InvalidConfigError(f"response column {name!r} not in {list(table.columns)}")
-    j = table.columns.index(name)
-    rest = table.columns[:j] + table.columns[j + 1:]
-    return replace(table, columns=rest, data=np.delete(table.data, j, axis=1)), table.data[:, j]
+def _split_response(header: list[str], data: np.ndarray, name: str):
+    """(the values without the response column, the response column)."""
+    if name not in header:
+        raise InvalidConfigError(f"response column {name!r} not in {header}")
+    j = header.index(name)
+    return np.delete(data, j, axis=1), data[:, j]
 
 
 def cmd_fit(args) -> int:
     started = _now()
-    mains, y_all = _split_response(read_table(args.data), args.response)
-    x_all = mains.data
+    header, data, data_sha256 = read_table(args.data)
+    x_all, y_all = _split_response(header, data, args.response)
     n = x_all.shape[0]
     n_tr, n_va, n_te = split_sizes(n, _parse_split(args.split))
     if min(n_tr, n_va, n_te) < 2:
@@ -272,7 +270,7 @@ def cmd_fit(args) -> int:
     json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
     atomic_write_text(json_path, dump_json(summary))
     run_config = {
-        "data": file_sha256(args.data), "split": args.split, "response": args.response,
+        "data": data_sha256, "split": args.split, "response": args.response,
         "method": args.method, "scheme": args.scheme, "estimator": summary["estimator"],
         **option_docs,
     }
@@ -294,11 +292,11 @@ def cmd_fit(args) -> int:
 
 def cmd_standardize(args) -> int:
     started = _now()
-    table = read_table(args.data)
+    header, x, data_sha256 = read_table(args.data)
     if args.response is not None:
-        table, _ = _split_response(table, args.response)
-    terms = canonical_terms(table.data.shape[1])
-    z, params, *_ = standardize_train(table.data, terms, args.scheme, args.estimator)
+        x, _ = _split_response(header, x, args.response)
+    terms = canonical_terms(x.shape[1])
+    z, params, *_ = standardize_train(x, terms, args.scheme, args.estimator)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.scheme}"
@@ -308,7 +306,7 @@ def cmd_standardize(args) -> int:
     params_doc = to_json(params)  # records the estimator its scheme used
     atomic_write_text(params_path, dump_json(params_doc))
     _write_manifest(args.out_dir, args.command_line,
-                    {"data": file_sha256(args.data), "scheme": args.scheme,
+                    {"data": data_sha256, "scheme": args.scheme,
                      "estimator": params_doc["estimator"],
                      "response": args.response}, None, started,
                     [matrix_path, params_path], stem)

@@ -7,7 +7,7 @@ import hashlib
 import io as _io
 import json
 import os
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -86,22 +86,20 @@ def from_json_fields(cls, doc, what: str):
     return cls(**doc)
 
 
-@dataclass(frozen=True)
-class TabularFile:
-    """A rectangular numeric table with a mandatory unique header row."""
-
-    columns: tuple[str, ...]
-    data: np.ndarray
-
-
-def read_table(path) -> TabularFile:
-    """The table at ``path``: a csv-parsed header of unique names, then the
-    values, parsed by numpy's ``loadtxt``.  A body that numpy rejects, or
-    that holds a non-finite value or a row of the wrong width, is read again
-    row by row with ``csv`` only to name the first bad cell; blank lines are
-    skipped."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+def read_table(path) -> tuple[list[str], np.ndarray, str]:
+    """(header, values, sha256) of the table at ``path``.  The file is read
+    once: the sha256 of its bytes names the data in a run's manifest, and
+    the same bytes are decoded and split into lines by the text layer
+    ``open(path, newline="")`` would stack on the file.  The header is
+    csv-parsed and must hold unique names; the values are parsed by numpy's
+    ``loadtxt``.  A body that numpy rejects, or that holds a non-finite
+    value or a row of the wrong width, is read again row by row with
+    ``csv`` only to name the first bad cell; blank lines are skipped."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    sha256 = hashlib.sha256(raw).hexdigest()
+    lines = _io.TextIOWrapper(_io.BytesIO(raw), newline="").readlines()
+    del raw  # decoded into lines: the bytes are not read again
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -120,7 +118,7 @@ def read_table(path) -> TabularFile:
             rejected = err
     if data is None or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
         _name_bad_cell(path, header, body, rejected)
-    return TabularFile(tuple(header), data)
+    return header, data, sha256
 
 
 def _name_bad_cell(path, header: list[str], body: list[str], rejected) -> None:
@@ -140,7 +138,7 @@ def _name_bad_cell(path, header: list[str], body: list[str], rejected) -> None:
             if not _is_number(cell):
                 raise InvalidDimensionError(
                     f"{path}: row {lineno}, column {name!r}: non-numeric cell {cell!r}")
-        rows.append([float(cell) for cell in row])
+        rows.append([float(cell.strip()) for cell in row])
         linenos.append(lineno)
     if not rows:
         raise InvalidDimensionError(f"{path}: no data rows")
@@ -154,13 +152,16 @@ def _name_bad_cell(path, header: list[str], body: list[str], rejected) -> None:
 
 
 def _is_number(cell: str) -> bool:
-    """Whether numpy's parser reads cell as a number: float() does, and the
-    cell holds no underscore ("1_000") or non-ASCII digit once stripped."""
+    """Whether numpy's parser reads cell as a number: once stripped of
+    Unicode whitespace, as numpy strips it (float() keeps "\\x1c"-"\\x1f"),
+    float() reads the cell and it holds no underscore ("1_000") or
+    non-ASCII digit."""
+    cell = cell.strip()
     try:
         float(cell)
     except ValueError:
         return False
-    return cell.strip().isascii() and "_" not in cell
+    return cell.isascii() and "_" not in cell
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -185,13 +186,4 @@ def write_coefficients_csv(path, coefs: CoefficientVector) -> None:
 
 def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(dump_json(config_dict).encode()).hexdigest()
-
-
-def file_sha256(path) -> str:
-    """SHA-256 of a file's bytes, so a manifest names the data, not its path."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 

@@ -10,12 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hereditas
 from hereditas import cli
 from hereditas.cli import main, split_sizes
 from hereditas.errors import InconsistentParamsError, InvalidDimensionError
-from hereditas.io import atomic_write_text, from_json_fields, read_table, to_json
+from hereditas.io import _is_number, atomic_write_text, from_json_fields, read_table, to_json
 from hereditas.selectors import LassoOptions, StepwiseOptions
 from hereditas.simulate import CampaignReport, SettingConfig, build_truth, preset
 from hereditas.terms import canonical_terms, expand
@@ -69,9 +71,10 @@ class TestReadTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [[1, 2], [3, 4.5]])
-        t = read_table(path)
-        assert t.columns == ("a", "b")
-        np.testing.assert_array_equal(t.data, [[1.0, 2.0], [3.0, 4.5]])
+        header, data, sha256 = read_table(path)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.5]])
+        assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_non_numeric_cell_named(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -109,7 +112,7 @@ class TestReadTable:
     def test_quoted_number_is_read(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text('a,b\n1,"2.5"\n')
-        np.testing.assert_array_equal(read_table(path).data, [[1.0, 2.5]])
+        np.testing.assert_array_equal(read_table(path)[1], [[1.0, 2.5]])
 
     def test_whitespace_only_line_is_a_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -126,6 +129,14 @@ class TestReadTable:
                            match=f"row 2, column 'a': non-numeric cell '{cell}'"):
             read_table(path)
 
+    def test_separator_whitespace_is_stripped_as_numpy_strips_it(self, tmp_path):
+        # numpy reads "1\x1c" as 1 (str.isspace counts \x1c-\x1f), so the
+        # file's fault is the inf in row 3, not that cell.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1\x1c,2\n3,inf\n")
+        with pytest.raises(InvalidDimensionError, match="row 3, column 'b': non-finite value"):
+            read_table(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
@@ -139,6 +150,29 @@ class TestReadTable:
             warnings.simplefilter("error")
             with pytest.raises(InvalidDimensionError, match="no data rows"):
                 read_table(path)
+
+
+def _numpy_reads(cell: str) -> bool:
+    """Whether numpy's parser, as read_table calls it, reads the one-cell body."""
+    try:
+        np.loadtxt([cell + "\n"], delimiter=",", comments=None, ndmin=2, quotechar='"')
+    except ValueError:
+        return False
+    return True
+
+
+# Digits, the characters of signs, decimals, exponents and underscores, the
+# letters of inf, nan and infinity, whitespace that numpy strips (float()
+# rejects \x1c-\x1f, and str.splitlines breaks lines at several), and one
+# non-ASCII digit.
+CELL_ALPHABET = "0123456789+-.eE_" + "infaty" + "\t \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003" + "\u0661"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cell=st.text(CELL_ALPHABET, min_size=1, max_size=10))
+def test_is_number_agrees_with_numpy(cell):
+    # The error path names a cell non-numeric exactly when numpy rejects it.
+    assert _is_number(cell) == _numpy_reads(cell)
 
 
 @dataclass(frozen=True)
@@ -711,6 +745,30 @@ class TestFitCommand:
             hashes.add(json.loads((out / f"{stem}.manifest.json").read_text())["config_hash"])
         assert recorded == {"mean-sd"} and len(hashes) == 1
 
+    @pytest.mark.parametrize("command,seam", [
+        (["fit", "data.csv", "--method", "stepwise"], "fit_pipeline"),
+        (["standardize", "data.csv", "--response", "y"], "standardize_train"),
+    ], ids=["fit", "standardize"])
+    def test_manifest_hashes_the_bytes_it_parsed(self, dataset_csv, tmp_path, monkeypatch,
+                                                 command, seam):
+        # The file is rewritten after it was parsed; the manifest still names
+        # the data the run used.
+        monkeypatch.chdir(tmp_path)
+        parsed = dataset_csv.read_bytes()
+        assert main(command + ["--out-dir", "undisturbed"]) == 0
+        original = getattr(cli, seam)
+
+        def overwrite_then_run(*args):
+            write_csv(dataset_csv, ["x0", "y"], [[1, 2], [3, 4]])
+            return original(*args)
+
+        monkeypatch.setattr(cli, seam, overwrite_then_run)
+        assert main(command + ["--out-dir", "overwritten"]) == 0
+        assert dataset_csv.read_bytes() != parsed
+        hashes = [json.loads(next((tmp_path / out).glob("*.manifest.json")).read_text())
+                  ["config_hash"] for out in ("undisturbed", "overwritten")]
+        assert hashes[0] == hashes[1]
+
     def test_inconsistent_params_exit_1(self, dataset_csv, tmp_path, monkeypatch, capsys):
         # Parameters that do not match their terms are a bug, not a usage error.
         def mismatch(*args):
@@ -740,11 +798,11 @@ class TestStandardizeCommand:
         rc = main(["standardize", str(path), "--scheme", "hierarchical",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
-        out = read_table(tmp_path / "m.hierarchical.standardized.csv")
-        assert list(out.columns) == canonical_terms(3).labels()
+        header, z, _ = read_table(tmp_path / "m.hierarchical.standardized.csv")
+        assert header == canonical_terms(3).labels()
         for j in range(3):  # standardized mains
-            assert abs(out.data[:, j].mean()) < 1e-12
-            assert abs(out.data[:, j].std(ddof=1) - 1) < 1e-12
+            assert abs(z[:, j].mean()) < 1e-12
+            assert abs(z[:, j].std(ddof=1) - 1) < 1e-12
         params = json.loads((tmp_path / "m.hierarchical.params.json").read_text())
         assert params["estimator"] == "mean-sd"
         assert len(params["centers"]) == 3
@@ -756,10 +814,10 @@ class TestStandardizeCommand:
         rc = main(["standardize", str(path), "--scheme", "regular",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
-        out = read_table(tmp_path / "m.regular.standardized.csv")
-        assert out.data.shape[1] == 9
-        np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.data.std(axis=0, ddof=1), 1.0, atol=1e-12)
+        _, z, _ = read_table(tmp_path / "m.regular.standardized.csv")
+        assert z.shape[1] == 9
+        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("scheme", ["hierarchical", "regular"])
     @pytest.mark.parametrize("estimator", ["mean-sd", "median-iqr"])
@@ -1120,15 +1178,15 @@ class TestStandardizeRoundTrip:
         from hereditas.selectors import lasso_fit
         from hereditas.standardize import HIER_STD, LocationScale, back_transform_hierarchical
 
-        z = read_table(tmp_path / "m.hierarchical.standardized.csv")
+        header, z, _ = read_table(tmp_path / "m.hierarchical.standardized.csv")
         params = from_json_fields(
             LocationScale, json.loads((tmp_path / "m.hierarchical.params.json").read_text()),
             "location-scale field")
         terms = canonical_terms(3)
-        assert list(z.columns) == terms.labels()
-        fit = lasso_fit(z.data, y, 0.02, terms=terms, scale_tag=HIER_STD)
+        assert header == terms.labels()
+        fit = lasso_fit(z, y, 0.02, terms=terms, scale_tag=HIER_STD)
         raw = back_transform_hierarchical(fit.coefs, params, terms)
-        pred_std = fit.coefs.predict(z.data)
+        pred_std = fit.coefs.predict(z)
         pred_raw = raw.predict(expand(x, terms))
         np.testing.assert_allclose(pred_raw, pred_std, rtol=1e-10,
                                    atol=1e-10 * np.max(np.abs(pred_std)))
