@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import shlex
 import sys
@@ -24,6 +23,7 @@ from .io import (
     config_hash,
     dump_json,
     from_json_fields,
+    read_json,
     read_table,
     to_json,
     write_coefficients_csv,
@@ -59,18 +59,10 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     _add_format(p)
 
 
-def _read_json(path):
-    """The parsed JSON file at path; None when no path is given."""
-    if not path:
-        return None
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_selector_options(args):
     """The options of each method whose --<method>-options file is given, and
     the manifest's {"<method>_options": the file's JSON document, or None}."""
-    docs = {f"{m}_options": _read_json(getattr(args, f"{m}_options")) for m in SELECTORS}
+    docs = {f"{m}_options": read_json(getattr(args, f"{m}_options")) for m in SELECTORS}
     options = {m: from_json_fields(cls, docs[f"{m}_options"], f"{m} option")
                for m, (cls, _) in SELECTORS.items() if docs[f"{m}_options"] is not None}
     return options, docs
@@ -171,7 +163,7 @@ def cmd_simulate(args) -> int:
     if args.preset is not None:
         cfg = preset(args.preset)
     else:
-        cfg = from_json_fields(SettingConfig, _read_json(args.config), "config field")
+        cfg = from_json_fields(SettingConfig, read_json(args.config), "config field")
     seed = cfg.master_seed if args.seed is None else args.seed
     replicates = cfg.replicates if args.replicates is None else args.replicates
     cfg = replace(cfg, master_seed=seed, replicates=replicates)
@@ -316,7 +308,7 @@ def cmd_standardize(args) -> int:
 
 def _read_report(path) -> dict:
     """The campaign report at path, checked for the fields the table reads."""
-    doc = _read_json(path)
+    doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("config"), dict)
             and isinstance(doc["config"].get("name"), str)
             and isinstance(doc.get("cells"), list)):

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidDimensionError
 from .standardize import CoefficientVector
 
+INPUT_CODEC = "utf-8-sig"  # every input file: UTF-8 whatever the locale, a leading BOM skipped
+
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory + rename, so a crashed
@@ -86,11 +88,19 @@ def from_json_fields(cls, doc, what: str):
     return cls(**doc)
 
 
+def read_json(path):
+    """The parsed JSON file at path, decoded as INPUT_CODEC; None for no path."""
+    if not path:
+        return None
+    with open(path, encoding=INPUT_CODEC) as fh:
+        return json.load(fh)
+
+
 def read_table(path) -> tuple[list[str], np.ndarray, str]:
     """(header, values, sha256) of the table at ``path``.  The file is read
-    once: the sha256 of its bytes names the data in a run's manifest, and
-    the same bytes are decoded and split into lines by the text layer
-    ``open(path, newline="")`` would stack on the file.  The header is
+    once: the sha256 of its bytes, BOM included, names the data in a run's
+    manifest, and the same bytes are decoded as INPUT_CODEC and split into
+    lines as ``open(path, newline="")`` would split them.  The header is
     csv-parsed and must hold unique names; the values are parsed by numpy's
     ``loadtxt``.  A body that numpy rejects, or that holds a non-finite
     value or a row of the wrong width, is read again row by row with
@@ -98,7 +108,7 @@ def read_table(path) -> tuple[list[str], np.ndarray, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     sha256 = hashlib.sha256(raw).hexdigest()
-    lines = _io.TextIOWrapper(_io.BytesIO(raw), newline="").readlines()
+    lines = _io.TextIOWrapper(_io.BytesIO(raw), encoding=INPUT_CODEC, newline="").readlines()
     del raw  # decoded into lines: the bytes are not read again
     reader = csv.reader(lines)
     try:

@@ -208,7 +208,7 @@ def fit_lasso_path(X, y, opts: LassoOptions | None = None, terms: TermSet | None
         passes, converged = kernels.cd_solve(
             prep.XT, prep.c, b, prep.col_nrm2, float(lam), kkt_tol, opts.max_iter, face
         )
-        fits.append(_finish(prep, b.copy(), float(lam), passes, converged, terms, scale_tag))
+        fits.append(_finish(prep, b, float(lam), passes, converged, terms, scale_tag))
     return lambdas, fits
 
 
@@ -391,8 +391,7 @@ class _SweepScreen:
         S[k, k] = -1.0 / d
         self.swept[k] = not self.swept[k]
 
-    def shortlist(self, rss: float, ratio: float, cur_aic: float,
-                  deletions: bool = True, additions: bool = True):
+    def shortlist(self, rss: float, ratio: float, cur_aic: float, additions: bool = True):
         """The moves, in canonical order, whose exact AIC may be the step's
         minimum and beat ``cur_aic``: (column, (lower, upper)), with None
         for a move whose bounds cannot be trusted.  ``rss`` and ``ratio`` are
@@ -421,7 +420,7 @@ class _SweepScreen:
             lo -= AIC_ULP * (np.abs(lo) + 1.0)
             hi += AIC_ULP * (np.abs(hi) + 1.0)
             unsure = ~(np.isfinite(lo) & np.isfinite(hi) & (new_ratio > SCREEN_TOL))
-        movable = (inside & deletions) | (~inside & additions)
+        movable = inside | additions
         top = hi[movable & ~unsure].min(initial=math.inf)
         keep = movable & (unsure | ((lo <= top) & (lo < cur_aic)))
         order = sorted(np.flatnonzero(keep).tolist(), key=lambda j: not inside[j])
@@ -445,8 +444,7 @@ def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
 
 
 def _step(search: _GramSearch, screen: _SweepScreen | None, current: tuple[int, ...],
-          rss: float, ratio: float, cur_aic: float, deletions: bool = True,
-          additions: bool = True):
+          rss: float, ratio: float, cur_aic: float, additions: bool = True):
     """The best allowed move from ``current``, as ``_best_move`` gives it, and
     the screen to keep.  On a well-conditioned model only the moves that the
     screen (built if there is none) shortlists are scored exactly; otherwise,
@@ -455,13 +453,12 @@ def _step(search: _GramSearch, screen: _SweepScreen | None, current: tuple[int, 
     if screen is None and ratio > SCREEN_TOL:
         screen = _SweepScreen(search, current, ratio)
     if screen is not None:
-        short = screen.shortlist(rss, ratio, cur_aic, deletions=deletions, additions=additions)
+        short = screen.shortlist(rss, ratio, cur_aic, additions=additions)
         scores, best = _best_move(search, current, [j for j, _ in short])
         if all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
             return best, screen
     # Every allowed move in canonical order: deletions, then additions.
-    moves = ((list(current) if deletions else [])
-             + ([j for j in range(search.m) if j not in current] if additions else []))
+    moves = list(current) + ([j for j in range(search.m) if j not in current] if additions else [])
     return _best_move(search, current, moves)[1], None
 
 
@@ -524,11 +521,11 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         else:
             screen = None
 
-    # The cap can hide an improving addition; the converged flag certifies
-    # a genuine one-move local optimum.
+    # The cap can hide an improving addition.  The loop has just found no
+    # improving deletion, so one step over every move certifies a local optimum.
     converged = True
     if len(current) == max_selected < m:
-        best, _ = _step(search, screen, current, rss, ratio, cur_aic, deletions=False)
+        best, _ = _step(search, screen, current, rss, ratio, cur_aic)
         converged = best is None or best[0] >= cur_aic
 
     beta = search.coefficients(current)

@@ -23,6 +23,10 @@ from hereditas.simulate import CampaignReport, SettingConfig, build_truth, prese
 from hereditas.terms import canonical_terms, expand
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+FOUR_MAINS = os.path.join(os.path.dirname(__file__), "data", "four_mains.csv")
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -150,6 +154,17 @@ class TestReadTable:
             warnings.simplefilter("error")
             with pytest.raises(InvalidDimensionError, match="no data rows"):
                 read_table(path)
+
+    def test_leading_bom_is_skipped_and_hashed(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"y,a\n1,2\n3,5\n")
+        bom.write_bytes(BOM + plain.read_bytes())
+        header, values, sha256 = read_table(plain)
+        bom_header, bom_values, bom_sha256 = read_table(bom)
+        assert bom_header == header == ["y", "a"]
+        np.testing.assert_array_equal(bom_values, values)
+        assert sha256 == hashlib.sha256(plain.read_bytes()).hexdigest() != bom_sha256
 
 
 def _numpy_reads(cell: str) -> bool:
@@ -1160,6 +1175,104 @@ class TestManifestCommand:
         recorded = json.loads(manifest.read_text())["command"]
         assert recorded == shlex.join(["hereditas", *argv])
         assert shlex.split(recorded) == ["hereditas", *argv]
+
+
+def _bom_twins(tmp_path, name: str, data: bytes):
+    """data written to plain/name as it is and to bom/name after a BOM."""
+    paths = []
+    for sub, prefix in (("plain", b""), ("bom", BOM)):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / name)
+        paths[-1].write_bytes(prefix + data)
+    return paths
+
+
+def _outputs(out_dir):
+    """({name: bytes} of the files in out_dir but the manifests, their config_hash)."""
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    hashes = {name: json.loads(files.pop(name))["config_hash"]
+              for name in list(files) if name.endswith(".manifest.json")}
+    return files, hashes
+
+
+class TestInputEncoding:
+    """Every input file is read as UTF-8, a leading BOM skipped, whatever the locale."""
+
+    def test_csv_with_a_bom_and_the_response_first(self, tmp_path, capsys):
+        with open(FOUR_MAINS, newline="") as fh:
+            rows = [row[-1:] + row[:-1] for row in csv.reader(fh)]
+        assert rows[0][0] == "y"
+        data = "".join(",".join(row) + "\n" for row in rows).encode()
+        runs = []
+        for path in _bom_twins(tmp_path, "d.csv", data):
+            out = path.parent / "out"
+            for method in ("lasso", "stepwise"):
+                for scheme in ("hierarchical", "regular"):
+                    assert main(["fit", str(path), "--method", method, "--scheme", scheme,
+                                 "--seed", "5", "--out-dir", str(out)]) == 0
+            assert main(["standardize", str(path), "--response", "y", "--out-dir", str(out)]) == 0
+            runs.append((_outputs(out), capsys.readouterr().out.replace(str(out), "OUT")))
+        ((files, hashes), stdout), ((bom_files, bom_hashes), bom_stdout) = runs
+        assert len(files) == 10 and bom_files == files and bom_stdout == stdout
+        assert hashes.keys() == bom_hashes.keys()
+        assert all(bom_hashes[name] != hashes[name] for name in hashes)
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["fit", "data.csv", "--method", "lasso", "--lasso-options", "DOC"], {"n_lambda": 20}),
+        (["simulate", "--config", "DOC", "--methods", "lasso", "--schemes", "hierarchical"],
+         {"replicates": 1, "master_seed": 7}),
+        (["report", "DOC"], None),
+    ], ids=["lasso-options", "config", "report"])
+    def test_json_with_a_bom_reads_as_its_twin(self, dataset_csv, tmp_path, monkeypatch, capsys,
+                                               argv, doc):
+        monkeypatch.chdir(tmp_path)
+        if doc is None:  # a saved campaign report
+            assert main(SIM_ONE + ["--methods", "lasso", "--schemes", "hierarchical",
+                                   "--out-dir", "saved"]) == 0
+            data = (tmp_path / "saved" / "setting1.report.json").read_bytes()
+        else:
+            data = json.dumps(doc).encode()
+        capsys.readouterr()
+        runs = []
+        for path in _bom_twins(tmp_path, "doc.json", data):
+            out = path.parent / "out"
+            command = [str(path) if arg == "DOC" else arg for arg in argv]
+            assert main(command + ([] if argv[0] == "report" else ["--out-dir", str(out)])) == 0
+            runs.append((_outputs(out) if out.exists() else None, capsys.readouterr().out))
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("at,message", [
+        (8, "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"),
+        (9000, "error: 'utf-8' codec can't decode byte 0xff in position"),
+    ], ids=["early", "past-8KiB"])
+    @pytest.mark.parametrize("command", ["fit", "standardize"])
+    def test_invalid_utf8_exits_2_naming_the_byte(self, tmp_path, capsys, command, at,
+                                                    message):
+        text = "a,b,y\n" + "".join(f"{i},{i + 1},{i % 7}\n" for i in range(1500))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text[:at].encode() + b"\xff" + text[at + 1:].encode())
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    def test_locale_does_not_change_what_fit_reads(self, tmp_path):
+        # With UTF-8 mode off, Python's default text encoding is the locale's:
+        # ASCII under LC_ALL=C.
+        with open(FOUR_MAINS, "rb") as fh:
+            header, body = fh.read().split(b"\n", 1)
+        header = header.replace(b"a", "température".encode())
+        (tmp_path / "d.csv").write_bytes(header + b"\n" + body)
+        pythonpath = os.path.dirname(os.path.dirname(hereditas.__file__))
+        ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        runs = []
+        for name, env in (("default", {}), ("ascii", ascii_locale)):
+            done = subprocess.run(
+                [sys.executable, "-c", ENTRY, "fit", "d.csv", "--seed", "5", "--out-dir", name],
+                env={**os.environ, "PYTHONPATH": pythonpath, **env}, cwd=tmp_path,
+                capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append((_outputs(tmp_path / name), done.stdout))
+        assert runs[1] == runs[0]
 
 
 class TestStandardizeRoundTrip:
