@@ -125,23 +125,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(out_dir: str, command: str, cfg_dict: dict, seed: int | None,
-                    started: str, outputs: list[str], stem: str) -> str:
-    """Write the run's manifest: enough provenance to byte-reproduce it.
-    Timestamps live here, not in the reports, so reports stay byte-stable;
-    ``seed`` is None for standardize, which draws nothing."""
-    manifest = {
-        "command": command,
-        "config_hash": config_hash(cfg_dict),
-        "master_seed": seed,
-        "tool_version": __version__,
-        "started": started,
-        "finished": _now(),
-        "outputs": outputs,
-    }
-    path = os.path.join(out_dir, f"{stem}.manifest.json")
-    atomic_write_text(path, dump_json(manifest))
-    return path
+class _Outputs:
+    """Where one run writes: ``paths`` holds ``<out_dir>/<stem>.<suffix>`` for
+    each suffix, and the manifest goes beside them.  Every path is checked to
+    encode as a file name before the directory is made, so a run that could
+    not save its outputs fails before it writes, or creates, anything."""
+
+    def __init__(self, args, stem: str, *suffixes: str):
+        self.args = args
+        *self.paths, self.manifest_path = (os.path.join(args.out_dir, f"{stem}.{suffix}")
+                                           for suffix in (*suffixes, "manifest.json"))
+        for path in (*self.paths, self.manifest_path):
+            os.fsencode(path)  # a UnicodeEncodeError, exit 2, if the locale cannot name it
+        os.makedirs(args.out_dir, exist_ok=True)
+
+    def write_manifest(self, run_config: dict, seed: int | None) -> None:
+        """Write the run's manifest: enough provenance to byte-reproduce it.
+        Timestamps live here, not in the reports, so reports stay byte-stable;
+        ``seed`` is None for standardize, which draws nothing."""
+        manifest = {
+            "command": self.args.command_line,
+            "config_hash": config_hash(run_config),
+            "master_seed": seed,
+            "tool_version": __version__,
+            "started": self.args.started,
+            "finished": _now(),
+            "outputs": self.paths,
+        }
+        atomic_write_text(self.manifest_path, dump_json(manifest))
 
 
 def _parse_list(text: str, valid: tuple[str, ...], what: str) -> list[str]:
@@ -157,7 +168,6 @@ def _parse_list(text: str, valid: tuple[str, ...], what: str) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    started = _now()
     if args.threads < 1:
         raise InvalidConfigError("--threads must be at least 1")
     if args.preset is not None:
@@ -170,19 +180,15 @@ def cmd_simulate(args) -> int:
     cells = tuple((m, s) for m in _parse_list(args.methods, METHODS, "method")
                   for s in _parse_list(args.schemes, SCHEMES, "scheme"))
     options, option_docs = _load_selector_options(args)
+    outputs = _Outputs(args, cfg.name, "report.json", "report.tsv")
 
     report = run_campaign(cfg, cells=cells, threads=args.threads, options=options)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    stem = cfg.name
-    json_path = os.path.join(args.out_dir, f"{stem}.report.json")
-    tsv_path = os.path.join(args.out_dir, f"{stem}.report.tsv")
     doc, tsv = dump_json(to_json(report)), campaign_tsv(report)
-    atomic_write_text(json_path, doc)
-    atomic_write_text(tsv_path, tsv)
-    run_config = {"config": to_json(cfg), "cells": cells, **option_docs}
-    _write_manifest(args.out_dir, args.command_line, run_config, cfg.master_seed,
-                    started, [json_path, tsv_path], stem)
+    for path, text in zip(outputs.paths, (doc, tsv)):
+        atomic_write_text(path, text)
+    outputs.write_manifest({"config": to_json(cfg), "cells": cells, **option_docs},
+                           cfg.master_seed)
 
     print(snr_summary(report))
     sys.stdout.write(tsv if args.format == "tsv" else doc)
@@ -214,17 +220,20 @@ def _parse_split(text: str) -> tuple[int, int, int]:
 
 
 def _split_response(header: list[str], data: np.ndarray, name: str):
-    """(the values without the response column, the response column)."""
+    """(the values without the response column, the response column, its header name)."""
+    if name not in header:  # the locale decoded the name's bytes; io decoded the header as UTF-8
+        name = os.fsencode(name).decode("utf-8", "surrogateescape")
     if name not in header:
         raise InvalidConfigError(f"response column {name!r} not in {header}")
     j = header.index(name)
-    return np.delete(data, j, axis=1), data[:, j]
+    return np.delete(data, j, axis=1), data[:, j], name
 
 
 def cmd_fit(args) -> int:
-    started = _now()
+    if args.seed < 0:
+        raise InvalidConfigError(f"--seed must be nonnegative, got {args.seed}")
     header, data, data_sha256 = read_table(args.data)
-    x_all, y_all = _split_response(header, data, args.response)
+    x_all, y_all, response = _split_response(header, data, args.response)
     n = x_all.shape[0]
     n_tr, n_va, n_te = split_sizes(n, _parse_split(args.split))
     if min(n_tr, n_va, n_te) < 2:
@@ -242,9 +251,9 @@ def cmd_fit(args) -> int:
     ok, violators = check_heredity(raw)
     test_mse = mse(raw.predict(expand(x_te, terms)), y_te)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.method}.{args.scheme}"
-    coef_path = os.path.join(args.out_dir, f"{stem}.coefficients.csv")
+    outputs = _Outputs(args, stem, "coefficients.csv", "fit.json")
+    coef_path, json_path = outputs.paths
     write_coefficients_csv(coef_path, raw)
     standardization = to_json(fitted.params)  # records the estimator its scheme used
     summary = {
@@ -259,15 +268,10 @@ def cmd_fit(args) -> int:
         "tuning": fitted.tuning,
         "standardization": standardization,
     }
-    json_path = os.path.join(args.out_dir, f"{stem}.fit.json")
     atomic_write_text(json_path, dump_json(summary))
-    run_config = {
-        "data": data_sha256, "split": args.split, "response": args.response,
-        "method": args.method, "scheme": args.scheme, "estimator": summary["estimator"],
-        **option_docs,
-    }
-    _write_manifest(args.out_dir, args.command_line, run_config,
-                    args.seed, started, [coef_path, json_path], stem)
+    outputs.write_manifest({"data": data_sha256, "split": args.split, "response": response,
+                            "method": args.method, "scheme": args.scheme,
+                            "estimator": summary["estimator"], **option_docs}, args.seed)
 
     if fitted.warning is not None:
         print(f"warning: {fitted.warning}", file=sys.stderr)
@@ -283,25 +287,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_standardize(args) -> int:
-    started = _now()
     header, x, data_sha256 = read_table(args.data)
-    if args.response is not None:
-        x, _ = _split_response(header, x, args.response)
+    response = args.response
+    if response is not None:
+        x, _, response = _split_response(header, x, response)
     terms = canonical_terms(x.shape[1])
     z, params, *_ = standardize_train(x, terms, args.scheme, args.estimator)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.data))[0] + f".{args.scheme}"
-    matrix_path = os.path.join(args.out_dir, f"{stem}.standardized.csv")
-    params_path = os.path.join(args.out_dir, f"{stem}.params.json")
+    outputs = _Outputs(args, stem, "standardized.csv", "params.json")
+    matrix_path, params_path = outputs.paths
     write_matrix_csv(matrix_path, terms.labels(), z)
     params_doc = to_json(params)  # records the estimator its scheme used
     atomic_write_text(params_path, dump_json(params_doc))
-    _write_manifest(args.out_dir, args.command_line,
-                    {"data": data_sha256, "scheme": args.scheme,
-                     "estimator": params_doc["estimator"],
-                     "response": args.response}, None, started,
-                    [matrix_path, params_path], stem)
+    outputs.write_manifest({"data": data_sha256, "scheme": args.scheme,
+                            "estimator": params_doc["estimator"],
+                            "response": response}, None)
     print(f"wrote {matrix_path} and {params_path}")
     return 0
 
@@ -348,7 +349,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.command_line = shlex.join(["hereditas", *argv])  # what the manifest records
+    args.command_line, args.started = shlex.join(["hereditas", *argv]), _now()  # for the manifest
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # package errors, malformed JSON, missing paths

@@ -506,7 +506,6 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         rss, ratio, _ = search.solve(current)
     cur_aic = search.aic_of(rss, len(current))
     aic_path = [cur_aic]
-    moves = 0
     screen = None
     while True:
         best, screen = _step(search, screen, current, rss, ratio, cur_aic,
@@ -515,7 +514,6 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
             break
         cur_aic, j, current, (rss, ratio, _) = best
         aic_path.append(cur_aic)
-        moves += 1
         if screen is not None and ratio > SCREEN_TOL:
             screen.move(j, ratio)
         else:
@@ -534,5 +532,5 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     slopes = np.zeros(m)
     slopes[list(current)] = beta[1:]
     coefs = CoefficientVector(terms, float(beta[0]), slopes, scale_tag)
-    return FitResult(coefs, tuning=cur_aic, iterations=moves, converged=converged,
+    return FitResult(coefs, tuning=cur_aic, iterations=len(aic_path) - 1, converged=converged,
                      aic_path=tuple(aic_path), start=FULL_START if full else NULL_START)

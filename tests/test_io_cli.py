@@ -305,6 +305,17 @@ def test_one_worker_simulate_loads_no_masked_arrays_or_pool(tmp_path):
 
 
 ENTRY = "import sys; from hereditas.cli import main; sys.exit(main(sys.argv[1:]))"
+# With UTF-8 mode off, Python's default text encoding, the file-system encoding
+# and the decoding of the command line are the locale's: ASCII under LC_ALL=C.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _entry(cwd, argv, env=None):
+    """hereditas argv, run in a fresh interpreter in cwd with env added to os.environ."""
+    pythonpath = os.path.dirname(os.path.dirname(hereditas.__file__))
+    return subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=cwd, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath, **(env or {})},
+                          timeout=120)
 
 
 @pytest.mark.parametrize("method,scheme", [("lasso", "regular"), ("stepwise", "hierarchical")])
@@ -479,6 +490,24 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "custom.report.json").read_text())
         manifest = json.loads((tmp_path / "custom.manifest.json").read_text())
         assert report["config"]["master_seed"] == manifest["master_seed"] == seed
+
+    def test_out_dir_under_a_file_exit_2_before_the_campaign(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: pytest.fail("campaign ran"))
+        (tmp_path / "file").write_text("")
+        rc = main(SIM_ONE + ["--out-dir", str(tmp_path / "file" / "out")])
+        assert rc == 2
+        assert "Not a directory" in capsys.readouterr().err
+
+    def test_name_the_locale_cannot_encode_exit_2_creating_nothing(self, tmp_path):
+        # The output paths are checked before the campaign runs and the directory is made.
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"name": "réel", "replicates": 1}, ensure_ascii=False), encoding="utf-8")
+        done = _entry(tmp_path, ["simulate", "--config", "cfg.json", "--out-dir", "out"],
+                      ASCII_LOCALE)
+        assert done.returncode == 2, done.stderr
+        assert b"can't encode" in done.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_bad_method_exit_2(self, capsys):
         rc = main(["simulate", "--preset", "setting1", "--methods", "ridge"])
@@ -720,6 +749,13 @@ class TestFitCommand:
         rc = main(["fit", str(dataset_csv), "--split", split, "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exit_2_before_the_data_is_read(self, tmp_path, capsys):
+        rc = main(["fit", str(tmp_path / "missing.csv"), "--seed", "-1",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_threads_flag_rejected(self, dataset_csv, tmp_path):
@@ -1256,23 +1292,24 @@ class TestInputEncoding:
         assert not (tmp_path / "out").exists()
 
     def test_locale_does_not_change_what_fit_reads(self, tmp_path):
-        # With UTF-8 mode off, Python's default text encoding is the locale's:
-        # ASCII under LC_ALL=C.
+        # The ASCII locale decodes a non-ASCII --response from other characters
+        # than io decodes the header's; it still names the same column.
         with open(FOUR_MAINS, "rb") as fh:
             header, body = fh.read().split(b"\n", 1)
         header = header.replace(b"a", "température".encode())
         (tmp_path / "d.csv").write_bytes(header + b"\n" + body)
-        pythonpath = os.path.dirname(os.path.dirname(hereditas.__file__))
-        ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
-        runs = []
-        for name, env in (("default", {}), ("ascii", ascii_locale)):
-            done = subprocess.run(
-                [sys.executable, "-c", ENTRY, "fit", "d.csv", "--seed", "5", "--out-dir", name],
-                env={**os.environ, "PYTHONPATH": pythonpath, **env}, cwd=tmp_path,
-                capture_output=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            runs.append((_outputs(tmp_path / name), done.stdout))
-        assert runs[1] == runs[0]
+        commands = (["fit", "../d.csv", "--seed", "5"],
+                    ["fit", "../d.csv", "--seed", "5", "--response", "température"],
+                    ["standardize", "../d.csv", "--response", "température"])
+        runs = {}
+        for name, env in (("default", {}), ("ascii", ASCII_LOCALE)):
+            (tmp_path / name).mkdir()
+            for i, command in enumerate(commands):
+                done = _entry(tmp_path / name, [*command, "--out-dir", str(i)], env)
+                assert done.returncode == 0, done.stderr
+                runs.setdefault(name, []).append((_outputs(tmp_path / name / str(i)),
+                                                   done.stdout))
+        assert runs["ascii"] == runs["default"]
 
 
 class TestStandardizeRoundTrip:
