@@ -136,7 +136,11 @@ class _Outputs:
         *self.paths, self.manifest_path = (os.path.join(args.out_dir, f"{stem}.{suffix}")
                                            for suffix in (*suffixes, "manifest.json"))
         for path in (*self.paths, self.manifest_path):
-            os.fsencode(path)  # a UnicodeEncodeError, exit 2, if the locale cannot name it
+            try:
+                os.fsencode(path)
+            except UnicodeEncodeError:
+                raise InvalidConfigError(f"output path {path!r} cannot be encoded as a file "
+                                         "name in this locale") from None
         os.makedirs(args.out_dir, exist_ok=True)
 
     def write_manifest(self, run_config: dict, seed: int | None) -> None:

@@ -29,7 +29,7 @@ from .terms import TermSet, main
 # than the 1e-6 the contract tests assert.
 KKT_SLACK = 1e-7
 
-# Stepwise screen (see _SweepScreen): a move whose model may have a pivot
+# Stepwise screen (see _Search): a move whose model may have a pivot
 # ratio at or below SCREEN_TOL is scored exactly; SCREEN_SLACK multiplies the
 # first-order rounding bound eps * k * (sum |b_i| ||z_i||)^2 of an RSS;
 # AIC_ULP covers last-ulp differences between np.log and math.log.
@@ -272,13 +272,27 @@ def ols_fit(X, y) -> tuple[float, np.ndarray, float]:
     return float(beta[0]), beta[1:], float(resid @ resid)
 
 
-class _GramSearch:
-    """OLS over column subsets via the bordered Gram [[z'z, z'y], [y'z, c]]
-    of z = [1, X].  The Cholesky factor of a model's bordered block ends in
-    the row w = L^-1 z_A'y, so its RSS is y'y - w'w: one small factorization
-    per exact AIC.  The corner c = 2 y'y + 1 exceeds w'w = y'y - RSS, so the
-    last pivot stays positive.  Stepwise runs it only on the moves that the
-    swept-matrix screen (``_SweepScreen``) cannot rule out.
+class _Search:
+    """The stepwise search: OLS over column subsets of z = [1, X], scored
+    exactly and screened by bounds.
+
+    Exact score: the bordered Gram [[z'z, z'y], [y'z, c]].  The Cholesky
+    factor of a model's bordered block ends in the row w = L^-1 z_A'y, so its
+    RSS is y'y - w'w: one small factorization per exact AIC.  The corner
+    c = 2 y'y + 1 exceeds w'w = y'y - RSS, so the last pivot stays positive.
+
+    Screen: ``S`` is the bordered Gram (its corner enters no bound) swept
+    (Goodnight 1979) on the intercept and the current columns A, marked in
+    ``swept``.  Its swept block holds -G_AA^-1, its border b = G_AA^-1 c_A,
+    and each unswept column j carries s_j = G_jj - G_jA G_AA^-1 G_Aj on the
+    diagonal and c_j - G_jA b on the border.  Deleting j in A raises the RSS
+    by b_j^2 / (G_AA^-1)_jj; adding j outside A lowers it by
+    (c_j - G_jA b)^2 / s_j.  ``S`` is built in one block, the result of
+    sweeping the intercept and the columns of A: with K those rows and R the
+    others, S_KK = -G_KK^-1, S_KR = G_KK^-1 G_KR and
+    S_RR = G_RR - G_RK G_KK^-1 G_KR.  An accepted move applies one rank-one
+    sweep to its column.  ``S`` is None while the model is near-singular and
+    after an exact score leaves its bounds; the next step builds it again.
     """
 
     def __init__(self, X, y):
@@ -296,6 +310,9 @@ class _GramSearch:
         # Floor keeps log(RSS) finite on exact fits and makes AIC comparisons
         # between equally perfect models fall back to the 2k penalty.
         self.rss_floor = max(1e-12 * tss, 1e-300)
+        self.diag = self.bordered.diagonal()[:-1]
+        self.sd = np.sqrt(self.diag)
+        self.S = self.swept = self.worst = None
 
     def solve(self, cols: tuple[int, ...]):
         """(RSS, smallest pivot ratio L_kk^2 / G_kk, bordered factor) of one
@@ -332,25 +349,9 @@ class _GramSearch:
     def aic(self, cols: tuple[int, ...]) -> float:
         return self.aic_of(self.solve(cols)[0], len(cols))
 
-
-class _SweepScreen:
-    """Bounds on the exact AIC of every one-column move, from a swept Gram.
-
-    ``S`` is the search's bordered Gram (its corner enters no bound), swept
-    (Goodnight 1979) on the intercept and the current columns A.  Its swept
-    block holds -G_AA^-1, its border b = G_AA^-1 c_A, and each unswept
-    column j carries s_j = G_jj - G_jA G_AA^-1 G_Aj on the diagonal and
-    c_j - G_jA b on the border.  Deleting j in A raises the RSS by
-    b_j^2 / (G_AA^-1)_jj; adding j outside A lowers it by
-    (c_j - G_jA b)^2 / s_j.  The screen is built in one block, the result of
-    sweeping the intercept and the columns of A: with K those rows and R the
-    others, S_KK = -G_KK^-1, S_KR = G_KK^-1 G_KR and
-    S_RR = G_RR - G_RK G_KK^-1 G_KR.  An accepted move applies one rank-one
-    sweep to its column.
-    """
-
-    def __init__(self, search: _GramSearch, cols: tuple[int, ...], ratio: float):
-        G = search.bordered
+    def _screen(self, cols: tuple[int, ...], ratio: float) -> None:
+        """Build S swept on the intercept and ``cols``, of smallest pivot ratio ``ratio``."""
+        G = self.bordered
         k = np.array((-1, *cols), dtype=np.intp) + 1
         inv = np.linalg.inv(G[np.ix_(k, k)])
         cross = inv @ G[k]
@@ -358,18 +359,18 @@ class _SweepScreen:
         self.S[k] = cross
         self.S[:, k] = cross.T
         self.S[np.ix_(k, k)] = -inv
-        self.swept = np.zeros(search.m + 1, dtype=bool)
+        self.swept = np.zeros(self.m + 1, dtype=bool)
         self.swept[k] = True
-        self.diag = search.bordered.diagonal()[:-1]
-        self.sd = np.sqrt(self.diag)
-        self.search = search
         # Rounding from a poorly conditioned sweep stays in S after the model
         # improves, so the bounds use the worst pivot ratio swept through.
         self.worst = ratio
 
     def move(self, j: int, ratio: float) -> None:
-        """Sweep column j in or out; ``ratio`` is the new model's smallest
-        pivot ratio."""
+        """Follow an accepted move of column j to a model of smallest pivot
+        ratio ``ratio``: one sweep of S, or no S if that model is near-singular."""
+        if self.S is None or ratio <= SCREEN_TOL:
+            self.S = None
+            return
         self._sweep(j + 1)
         self.worst = min(self.worst, ratio)
 
@@ -396,7 +397,6 @@ class _SweepScreen:
         minimum and beat ``cur_aic``: (column, (lower, upper)), with None
         for a move whose bounds cannot be trusted.  ``rss`` and ``ratio`` are
         the current model's exact RSS and smallest pivot ratio."""
-        search = self.search
         S = self.S
         inside = self.swept[1:]
         piv = S.diagonal()[1:-1]
@@ -404,7 +404,7 @@ class _SweepScreen:
         in_sd = self.sd * self.swept
         base = float(np.abs(S[:-1, -1]) @ in_sd)
         # Summed |coefficient| x ||column|| of each neighbouring model bounds
-        # the rounding of its exact Cholesky RSS (and of this screen's).
+        # the rounding of its exact Cholesky RSS (and of the screen's).
         spread = np.abs(S[1:-1, :-1]) @ in_sd + self.sd[1:] * ~inside
         n_params = int(self.swept.sum()) + np.where(inside, -1, 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -412,10 +412,10 @@ class _SweepScreen:
             new_rss = rss + np.where(inside, step, -step) * border
             new_ratio = np.where(inside, ratio, ratio * piv / self.diag[1:])
             err = (SCREEN_SLACK * np.finfo(float).eps * n_params
-                   * ((base + np.abs(step) * spread) ** 2 + search.yty)
+                   * ((base + np.abs(step) * spread) ** 2 + self.yty)
                    / np.minimum(new_ratio, self.worst))
-            lo = search.criterion(new_rss - err, n_params, np.log)
-            hi = search.criterion(new_rss + err, n_params, np.log)
+            lo = self.criterion(new_rss - err, n_params, np.log)
+            hi = self.criterion(new_rss + err, n_params, np.log)
             # Room for last-ulp differences between np.log and math.log.
             lo -= AIC_ULP * (np.abs(lo) + 1.0)
             hi += AIC_ULP * (np.abs(hi) + 1.0)
@@ -426,40 +426,39 @@ class _SweepScreen:
         order = sorted(np.flatnonzero(keep).tolist(), key=lambda j: not inside[j])
         return [(j, None if unsure[j] else (lo[j], hi[j])) for j in order]
 
+    def _best(self, current: tuple[int, ...], moves: list[int]):
+        """Exact AIC of each move (a column in the model is deleted, any other
+        added), in the given order.  Returns the per-move AICs and the first
+        strict minimum as (aic, column, columns, solution), or None when no move
+        has a finite AIC."""
+        scores, best = [], None
+        for j in moves:
+            cols = (tuple(k for k in current if k != j) if j in current
+                    else tuple(sorted(current + (j,))))
+            sol = self.solve(cols)
+            a = self.aic_of(sol[0], len(cols))
+            scores.append(a)
+            if a < (best[0] if best else math.inf):
+                best = (a, j, cols, sol)
+        return scores, best
 
-def _best_move(search: _GramSearch, current: tuple[int, ...], moves: list[int]):
-    """Exact AIC of each move (a column in the model is deleted, any other
-    added), in the given order.  Returns the per-move AICs and the first
-    strict minimum as (aic, column, columns, solution), or None when no move
-    has a finite AIC."""
-    scores, best = [], None
-    for j in moves:
-        cols = tuple(k for k in current if k != j) if j in current else tuple(sorted(current + (j,)))
-        sol = search.solve(cols)
-        a = search.aic_of(sol[0], len(cols))
-        scores.append(a)
-        if a < (best[0] if best else math.inf):
-            best = (a, j, cols, sol)
-    return scores, best
-
-
-def _step(search: _GramSearch, screen: _SweepScreen | None, current: tuple[int, ...],
-          rss: float, ratio: float, cur_aic: float, additions: bool = True):
-    """The best allowed move from ``current``, as ``_best_move`` gives it, and
-    the screen to keep.  On a well-conditioned model only the moves that the
-    screen (built if there is none) shortlists are scored exactly; otherwise,
-    or when an exact score leaves its bounds, every allowed move is, and no
-    screen is kept."""
-    if screen is None and ratio > SCREEN_TOL:
-        screen = _SweepScreen(search, current, ratio)
-    if screen is not None:
-        short = screen.shortlist(rss, ratio, cur_aic, additions=additions)
-        scores, best = _best_move(search, current, [j for j, _ in short])
-        if all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
-            return best, screen
-    # Every allowed move in canonical order: deletions, then additions.
-    moves = list(current) + ([j for j in range(search.m) if j not in current] if additions else [])
-    return _best_move(search, current, moves)[1], None
+    def step(self, current: tuple[int, ...], rss: float, ratio: float, cur_aic: float,
+             additions: bool = True):
+        """The best allowed move from ``current``, as ``_best`` gives it.  On a
+        well-conditioned model only the moves that the screen (built if there
+        is no S) shortlists are scored exactly; otherwise, or when an exact
+        score leaves its bounds, every allowed move is, and S is dropped."""
+        if self.S is None and ratio > SCREEN_TOL:
+            self._screen(current, ratio)
+        if self.S is not None:
+            short = self.shortlist(rss, ratio, cur_aic, additions=additions)
+            scores, best = self._best(current, [j for j, _ in short])
+            if all(b is None or b[0] <= a <= b[1] for (_, b), a in zip(short, scores)):
+                return best
+            self.S = None
+        # Every allowed move in canonical order: deletions, then additions.
+        moves = list(current) + [j for j in range(self.m) if additions and j not in current]
+        return self._best(current, moves)[1]
 
 
 def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | None = None,
@@ -471,7 +470,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
     move in canonical column order, deletions before additions.
 
     Each step bounds the AIC of all moves at once from the swept Gram of the
-    current model (``_SweepScreen``, updated by one sweep per accepted move).
+    current model (``_Search``, updated by one sweep per accepted move).
     Only moves whose lower bound reaches the smallest upper bound, and that
     could beat the current AIC, get the exact Cholesky AIC, in canonical
     order; so do moves whose bound is not finite or whose pivot ratio is
@@ -497,7 +496,7 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
             f"full-model start with {m} columns exceeds max_selected={max_selected}")
     full = opts.start == FULL_START or (opts.start == AUTO_START and feasible)
 
-    search = _GramSearch(X, y)
+    search = _Search(X, y)
     current: tuple[int, ...] = tuple(range(m)) if full else ()
     rss, ratio, _ = search.solve(current)
     mains = tuple(j for j, t in enumerate(terms.terms) if not t.is_second_order)
@@ -506,24 +505,19 @@ def stepwise_aic(X, y, opts: StepwiseOptions | None = None, terms: TermSet | Non
         rss, ratio, _ = search.solve(current)
     cur_aic = search.aic_of(rss, len(current))
     aic_path = [cur_aic]
-    screen = None
     while True:
-        best, screen = _step(search, screen, current, rss, ratio, cur_aic,
-                             additions=len(current) < max_selected)
+        best = search.step(current, rss, ratio, cur_aic, additions=len(current) < max_selected)
         if best is None or best[0] >= cur_aic:
             break
         cur_aic, j, current, (rss, ratio, _) = best
         aic_path.append(cur_aic)
-        if screen is not None and ratio > SCREEN_TOL:
-            screen.move(j, ratio)
-        else:
-            screen = None
+        search.move(j, ratio)
 
     # The cap can hide an improving addition.  The loop has just found no
     # improving deletion, so one step over every move certifies a local optimum.
     converged = True
     if len(current) == max_selected < m:
-        best, _ = _step(search, screen, current, rss, ratio, cur_aic)
+        best = search.step(current, rss, ratio, cur_aic)
         converged = best is None or best[0] >= cur_aic
 
     beta = search.coefficients(current)

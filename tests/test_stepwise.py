@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -13,10 +14,17 @@ from hereditas.selectors import (
     NULL_START,
     FitResult,
     StepwiseOptions,
-    _GramSearch,
-    _SweepScreen,
+    _Search,
     ols_fit,
     stepwise_aic,
+)
+from hereditas.simulate import (
+    HIERARCHICAL,
+    REGULAR,
+    STEPWISE,
+    fit_pipeline,
+    generate_replicate,
+    preset,
 )
 from hereditas.standardize import RAW, CoefficientVector
 from hereditas.terms import TermSet, canonical_terms, expand, main
@@ -219,7 +227,7 @@ def reference_stepwise(X, y, opts=None):
         current = tuple(range(m))
     else:
         current = ()
-    search = _GramSearch(X, y)
+    search = _Search(X, y)
     cur_aic = search.aic(current)
     aic_path = [cur_aic]
     while True:
@@ -309,22 +317,55 @@ class TestScreenedSearch:
         # Rounding left in the swept matrix by a near-singular model must stay
         # covered after the search moves on to a well-conditioned one.
         outside = []
-        shortlist = _SweepScreen.shortlist
+        shortlist = _Search.shortlist
 
         def checked(self, rss, ratio, cur_aic, **kw):
             moves = shortlist(self, rss, ratio, cur_aic, **kw)
             current = tuple(np.flatnonzero(self.swept[1:]).tolist())
             for j, bounds in moves:
                 cols = tuple(sorted(set(current) ^ {j}))
-                if bounds is not None and not bounds[0] <= self.search.aic(cols) <= bounds[1]:
+                if bounds is not None and not bounds[0] <= self.aic(cols) <= bounds[1]:
                     outside.append((j, cols))
             return moves
 
-        monkeypatch.setattr(_SweepScreen, "shortlist", checked)
+        monkeypatch.setattr(_Search, "shortlist", checked)
         for seed in range(160, 180):
             X, y, opts = hard_design("correlated", start, seed, 2 + seed % 7)
             stepwise_aic(X, y, opts)
         assert outside == []
+
+    def test_screen_leaves_about_one_exact_score_per_move(self, monkeypatch):
+        # The outputs are those of scoring every move, so only a count shows
+        # the screen at work: without it each move costs about m exact scores.
+        # Outside the moves a run scores its start (up to three models) and
+        # its final coefficients.
+        scores = []
+        solve = _Search.solve
+
+        def counted(self, cols):
+            scores.append(cols)
+            return solve(self, cols)
+
+        def excess(train, terms, scheme):
+            del scores[:]
+            fit = fit_pipeline(train, train, terms, STEPWISE, scheme).fit
+            return len(scores) - fit.iterations, fit.iterations
+
+        monkeypatch.setattr(_Search, "solve", counted)
+        cfg = replace(preset("setting1"), master_seed=7)
+        runs = []
+        for seed, scheme in enumerate((HIERARCHICAL, REGULAR)):
+            for rep in range(10):
+                data = generate_replicate(cfg, rep)
+                runs.append(excess((data.train.design, data.train.y), data.truth.terms, scheme))
+            # The training split of the fit-wide benchmark's 1,500-row CSV: 135 columns.
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((900, 15))
+            y = (x[:, :4].sum(axis=1) + x[:, 0] * x[:, 1] + x[:, 0] * x[:, 2]
+                 + x[:, 1] * x[:, 3] + x[:, 0] ** 2 + x[:, 2] ** 2 + 3.0 * rng.standard_normal(900))
+            runs.append(excess((x, y), canonical_terms(15), scheme))
+        assert all(more <= 5 for more, _ in runs), runs
+        assert sum(moves for _, moves in runs) > 800  # the runs move: the bound is not vacuous
 
     def test_equal_additions_take_the_first_column(self):
         # Orthogonal +-1 columns with equal x'y score bit-identical AICs.
@@ -332,7 +373,7 @@ class TestScreenedSearch:
                       [1, 1, -1, -1, 1, 1, -1, -1], [1, -1, -1, 1, 1, -1, -1, 1]], float).T
         x = h[:, 1:]
         y = 3.0 * x[:, 0] + 3.0 * x[:, 1] + 0.5 * x[:, 2]
-        search = _GramSearch(x, y)
+        search = _Search(x, y)
         assert search.aic((0,)) == search.aic((1,)) < search.aic((2,))
         fit = stepwise_aic(x, y, StepwiseOptions(start=NULL_START, max_selected=1))
         assert np.flatnonzero(fit.coefs.values).tolist() == [0]
@@ -352,7 +393,7 @@ class TestScreenedSearch:
             return y
 
         def gap(c, d=0.0):
-            search = _GramSearch(x, response(c, d))
+            search = _Search(x, response(c, d))
             return search.aic((1, 2)) - search.aic((0, 1, 2, 3))
 
         c = _bisect(gap, 0.2, 0.3)
@@ -361,11 +402,11 @@ class TestScreenedSearch:
         assert gap(c, d) == 0.0
         opts = StepwiseOptions(start=NULL_START)
         taken = []
-        move = _SweepScreen.move
-        monkeypatch.setattr(_SweepScreen, "move",
+        move = _Search.move
+        monkeypatch.setattr(_Search, "move",
                             lambda self, j, ratio: (taken.append(j), move(self, j, ratio)))
         fit = stepwise_aic(x, y, opts)
-        search = _GramSearch(x, y)
+        search = _Search(x, y)
         step = fit.aic_path.index(search.aic((1, 2)))
         assert fit.aic_path[step - 1] == search.aic((0, 1, 2))
         assert len(taken) == fit.iterations
