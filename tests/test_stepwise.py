@@ -357,8 +357,9 @@ class TestScreenedSearch:
         for seed, scheme in enumerate((HIERARCHICAL, REGULAR)):
             for rep in range(10):
                 data = generate_replicate(cfg, rep)
-                runs.append(excess((data.train.design, data.train.y), data.truth.terms, scheme))
-            # The training split of the fit-wide benchmark's 1,500-row CSV: 135 columns.
+                runs.append(excess(data.train, data.truth.terms, scheme))
+            # A design of the fit-wide benchmark's shape (900 rows, 15 mains,
+            # 135 columns) with the same kind of signal, not its split.
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((900, 15))
             y = (x[:, :4].sum(axis=1) + x[:, 0] * x[:, 1] + x[:, 0] * x[:, 2]
@@ -402,9 +403,9 @@ class TestScreenedSearch:
         assert gap(c, d) == 0.0
         opts = StepwiseOptions(start=NULL_START)
         taken = []
-        move = _Search.move
-        monkeypatch.setattr(_Search, "move",
-                            lambda self, j, ratio: (taken.append(j), move(self, j, ratio)))
+        sweep = _Search._sweep  # runs only on a move the screen follows
+        monkeypatch.setattr(_Search, "_sweep",
+                            lambda self, k: (taken.append(k - 1), sweep(self, k)))
         fit = stepwise_aic(x, y, opts)
         search = _Search(x, y)
         step = fit.aic_path.index(search.aic((1, 2)))
