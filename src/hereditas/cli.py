@@ -32,7 +32,7 @@ from .io import (
 from .metrics import AggregateStat, mse
 from .report import campaign_tsv, multi_report_tsv, snr_summary
 from .simulate import (
-    METHODS,
+    DEFAULT_CELLS,
     PRESETS,
     SCHEMES,
     SELECTORS,
@@ -52,7 +52,7 @@ def _now() -> str:
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     """The options of the commands that select models: simulate and fit."""
-    for method in METHODS:
+    for method in SELECTORS:
         p.add_argument(f"--{method}-options", default=None, metavar="JSON",
                        help=f"path to a JSON file of {method} options")
     _add_out_dir(p)
@@ -84,15 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    methods, schemes = (list(dict.fromkeys(axis)) for axis in zip(*DEFAULT_CELLS))
 
     sim = sub.add_parser("simulate", help="run a seeded simulation campaign")
     src = sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
     src.add_argument("--config", help="path to a SettingConfig JSON file")
     sim.add_argument("--replicates", type=int, default=None, help="override replicate count")
-    sim.add_argument("--methods", default=",".join(METHODS),
-                     help=f"comma list among {','.join(METHODS)}")
-    sim.add_argument("--schemes", default=",".join(SCHEMES),
+    sim.add_argument("--methods", default=",".join(methods),
+                     help=f"comma list among {','.join(SELECTORS)}")
+    sim.add_argument("--schemes", default=",".join(schemes),
                      help=f"comma list among {','.join(SCHEMES)}")
     sim.add_argument("--threads", type=int, default=1, help="replicate worker processes")
     sim.add_argument("--seed", type=int, default=None,
@@ -102,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a selector to a CSV dataset")
     fit.add_argument("data", help="CSV file with a header row")
     fit.add_argument("--response", default="y", help="response column name")
-    fit.add_argument("--method", choices=METHODS, default=METHODS[0])
-    fit.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0])
+    fit.add_argument("--method", choices=SELECTORS, default=methods[0])
+    fit.add_argument("--scheme", choices=SCHEMES, default=schemes[0])
     fit.add_argument("--estimator", choices=ESTIMATORS, default=MEAN_SD)
     fit.add_argument("--split", default="3:1:1", help="train:valid:test ratio")
     fit.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     std = sub.add_parser("standardize", help="write the standardized expanded design")
     std.add_argument("data", help="CSV file with a header row")
-    std.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0])
+    std.add_argument("--scheme", choices=SCHEMES, default=schemes[0])
     std.add_argument("--estimator", choices=ESTIMATORS, default=MEAN_SD)
     std.add_argument("--response", default=None,
                      help="drop this column before treating the rest as main effects")
@@ -159,7 +160,7 @@ class _Outputs:
         atomic_write_text(self.manifest_path, dump_json(manifest))
 
 
-def _parse_list(text: str, valid: tuple[str, ...], what: str) -> list[str]:
+def _parse_list(text: str, valid: dict, what: str) -> list[str]:
     """The distinct values a comma list names, each one of valid."""
     values = [v.strip() for v in text.split(",") if v.strip()]
     for v in values:
@@ -181,7 +182,7 @@ def cmd_simulate(args) -> int:
     seed = cfg.master_seed if args.seed is None else args.seed
     replicates = cfg.replicates if args.replicates is None else args.replicates
     cfg = replace(cfg, master_seed=seed, replicates=replicates)
-    cells = tuple((m, s) for m in _parse_list(args.methods, METHODS, "method")
+    cells = tuple((m, s) for m in _parse_list(args.methods, SELECTORS, "method")
                   for s in _parse_list(args.schemes, SCHEMES, "scheme"))
     options, option_docs = _load_selector_options(args)
     outputs = _Outputs(args, cfg.name, "report.json", "report.tsv")
@@ -194,7 +195,7 @@ def cmd_simulate(args) -> int:
     outputs.write_manifest({"config": to_json(cfg), "cells": cells, **option_docs},
                            cfg.master_seed)
 
-    print(snr_summary(report))
+    print(snr_summary(report), file=sys.stderr if args.format == "json" else sys.stdout)
     sys.stdout.write(tsv if args.format == "tsv" else doc)
     return 0
 

@@ -92,8 +92,11 @@ def read_json(path):
     """The parsed JSON file at path, decoded as INPUT_CODEC; None for no path."""
     if not path:
         return None
-    with open(path, encoding=INPUT_CODEC) as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding=INPUT_CODEC) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # neither names the file
+        raise InvalidConfigError(f"{path}: {err}") from None
 
 
 def read_table(path) -> tuple[list[str], np.ndarray, str]:

@@ -8,10 +8,10 @@ validation splits are expanded (``terms.expand``) for fitting; the 10,000-row
 test split keeps only its mains, and both its signal and each cell's test
 predictions come from ``terms.expand_dot``.
 
-Selection methods plug in through one table, ``SELECTORS`` (method name ->
-options dataclass and select step); the pipelines and campaigns take one
-``options`` mapping from method name to options object.  Each step reports its
-own tuning, and ``standardize_train`` returns its scheme's back-transform.
+Methods plug in through one table, ``SELECTORS`` (method name -> options
+dataclass and select step), schemes through ``SCHEMES`` (name -> standardize
+step); pipelines and campaigns take one ``options`` mapping from method name
+to options object.  ``DEFAULT_CELLS`` is the paper's four cells.
 """
 
 from __future__ import annotations
@@ -88,13 +88,32 @@ def _stepwise(z_tr, y_tr, _valid, _apply_params, terms, tag, opts):
 # (None: defaults) to (fit, its fit.json "tuning" object, its reason should the fit not
 # converge), looking its selector up at call time (patchable).
 SELECTORS = {LASSO: (LassoOptions, _lasso), STEPWISE: (StepwiseOptions, _stepwise)}
-METHODS = tuple(SELECTORS)
 
 HIERARCHICAL = "hierarchical"
 REGULAR = "regular"
-SCHEMES = (HIERARCHICAL, REGULAR)
 
-DEFAULT_CELLS = tuple((m, s) for m in METHODS for s in SCHEMES)
+
+def _hierarchical(raw, terms, estimator):
+    ls = fit_location_scale(raw, estimator)
+    return (standardize_hierarchical(raw, ls, terms), ls, HIER_STD,
+            lambda other: standardize_hierarchical(other, ls, terms),
+            lambda coefs: back_transform_hierarchical(coefs, ls, terms))
+
+
+def _regular(raw, terms, _estimator):
+    z, params = standardize_regular(raw, terms)
+    return (z, params, REGULAR_STD, params.apply,
+            lambda coefs: back_transform_regular(coefs, params, terms))
+
+
+# Scheme name -> standardize step, fitting on the training mains: (mains, terms, estimator,
+# which the regular scheme ignores: it is always mean/SD per expanded column) -> (standardized
+# design, parameters, the scale tag of coefficients fitted on it, a function standardizing
+# another raw design with those parameters, the back-transform of such coefficients).
+SCHEMES = {HIERARCHICAL: _hierarchical, REGULAR: _regular}
+
+# The paper's four cells in report-column order: the default campaign, and the CLI's defaults.
+DEFAULT_CELLS = tuple((m, s) for m in (LASSO, STEPWISE) for s in (HIERARCHICAL, REGULAR))
 
 # The factor of the float range a setting leaves between its expected sum of
 # squared responses over its largest split and overflow: room for draws above
@@ -307,24 +326,9 @@ def generate_replicate(cfg: SettingConfig, rep_index: int) -> ReplicateData:
 
 
 def standardize_train(raw, terms: TermSet, scheme: str, estimator: str = MEAN_SD) -> tuple:
-    """Fit the scheme's parameters on the training mains and standardize them.
-
-    Returns the standardized design, the parameters, the scale tag of
-    coefficients fitted on that design, a function standardizing another
-    raw design with the same parameters, and the back-transform of such
-    coefficients.  The estimator applies to the hierarchical scheme only;
-    regular standardization is always mean/SD per expanded column.
-    """
     if scheme not in SCHEMES:
         raise InvalidConfigError(f"unknown scheme {scheme!r}")
-    if scheme == HIERARCHICAL:
-        ls = fit_location_scale(raw, estimator)
-        return (standardize_hierarchical(raw, ls, terms), ls, HIER_STD,
-                lambda other: standardize_hierarchical(other, ls, terms),
-                lambda coefs: back_transform_hierarchical(coefs, ls, terms))
-    z, params = standardize_regular(raw, terms)
-    return (z, params, REGULAR_STD, params.apply,
-            lambda coefs: back_transform_regular(coefs, params, terms))
+    return SCHEMES[scheme](raw, terms, estimator)
 
 
 class FittedPipeline(NamedTuple):
@@ -407,7 +411,7 @@ class CampaignReport:
 
     def cell(self, method: str, scheme: str) -> CellReport:
         for c in self.cells:
-            if c.method == method and c.scheme == scheme:
+            if (c.method, c.scheme) == (method, scheme):
                 return c
         raise KeyError((method, scheme))
 

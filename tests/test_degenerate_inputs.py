@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from hereditas import simulate
 from hereditas.cli import main
 from hereditas.selectors import _prepare, _solver_inputs, lasso_kkt_residual
-from hereditas.simulate import HIERARCHICAL, LASSO, METHODS, SCHEMES
+from hereditas.simulate import HIERARCHICAL, LASSO, SCHEMES, SELECTORS
 from hereditas.standardize import ESTIMATORS
 
 COLUMNS = ("gaussian", "duplicate", "near-copy", "binary", "constant", "zero", "plus-minus")
@@ -111,7 +111,7 @@ def test_cli_exits_0_or_2_and_keeps_heredity(data, seed, estimator):
             writer.writerow([f"X{j + 1}" for j in range(x.shape[1])] + ["y"])
             writer.writerows(np.column_stack([x, y]).tolist())
         for scheme in SCHEMES:
-            for method in METHODS:
+            for method in SELECTORS:
                 out = os.path.join(tmp, f"{method}-{scheme}")
                 rc, tuned = _run(["fit", path, "--method", method, "--scheme", scheme,
                                   "--estimator", estimator, "--seed", str(seed),

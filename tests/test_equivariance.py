@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hereditas.simulate import HIERARCHICAL, METHODS, REGULAR, fit_pipeline
+from hereditas.simulate import HIERARCHICAL, REGULAR, SELECTORS, fit_pipeline
 from hereditas.standardize import ESTIMATORS, MEAN_SD, fit_location_scale, standardize_hierarchical
 from hereditas.terms import canonical_terms, expand, expand_dot
 
@@ -72,7 +72,7 @@ def test_hierarchical_fit_ignores_origin_and_units_and_regular_ignores_units(pro
     for estimator in ESTIMATORS:
         for xs in (x, moved):
             assume(not fit_location_scale(xs[TRAIN], estimator).delta_applied.any())
-    for method in METHODS:
+    for method in SELECTORS:
         for estimator in ESTIMATORS:
             _assert_same_fit(_fit(x, y, terms, method, HIERARCHICAL, estimator),
                              _fit(moved, y, terms, method, HIERARCHICAL, estimator))
@@ -87,7 +87,7 @@ def test_a_center_shifted_into_the_zero_band_keeps_predictions_equivalent():
     for estimator in ESTIMATORS:
         moved = x.copy()
         moved[:, 0] -= fit_location_scale(x[TRAIN], estimator).centers[0]
-        for method in METHODS:
+        for method in SELECTORS:
             fitted, pred = _fit(moved, y, terms, method, HIERARCHICAL, estimator)
             assert fitted.params.delta_applied[0] != 0.0
             z_test = standardize_hierarchical(moved[TEST], fitted.params, terms)

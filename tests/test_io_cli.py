@@ -359,6 +359,16 @@ class TestSimulateCommand:
         assert (tmp_path / "a" / "setting1.report.tsv").exists()
         assert (tmp_path / "a" / "setting1.manifest.json").exists()
 
+    @pytest.mark.parametrize("fmt,suffix", [("tsv", "report.tsv"), ("json", "report.json")])
+    def test_stdout_is_the_report_and_json_keeps_the_snr_line_off_it(self, tmp_path, capsys,
+                                                                     fmt, suffix):
+        assert main(SIM_ONE + ["--methods", "lasso", "--schemes", "hierarchical",
+                               "--format", fmt, "--out-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        snr_line = "snr[analytic] = 0.1875 tabulated 0.19\n"
+        report = (tmp_path / f"setting1.{suffix}").read_text()
+        assert (out, err) == ((snr_line + report, "") if fmt == "tsv" else (report, snr_line))
+
     def test_report_is_encoded_once(self, tmp_path, monkeypatch):
         # report.json and the TSV come from one encoding of the report.
         calls = []
@@ -1132,6 +1142,23 @@ class TestMalformedJson:
         path.write_text(json.dumps(doc))
         assert main(SIM_ONE + [flag, str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,data", [
+        (["simulate", "--config", "BAD"], b'{"name": "a",}'),
+        (SIM_ONE + ["--lasso-options", "BAD"], b'{"n_lambda": 5'),
+        (["report", "GOOD", "BAD"], b'{"config": {"name": "x"}, "cells": [}'),
+        (["simulate", "--config", "BAD"], b'{"name": "r\xe9el"}'),
+    ], ids=["config", "option-file", "second-report", "config-invalid-utf8"])
+    def test_unparsable_file_exit_2_naming_it(self, tmp_path, monkeypatch, capsys, argv,
+                                              data):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.json").write_text(json.dumps({"config": {"name": "x"}, "cells": []}))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        files = {"GOOD": str(tmp_path / "good.json"), "BAD": str(bad)}
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
 
     def test_int_fills_a_float_field_and_null_an_optional_one(self):
         cfg = from_json_fields(SettingConfig, {"sigma": 8, "printed_snr": None}, "config field")

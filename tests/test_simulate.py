@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -7,7 +8,7 @@ import pytest
 
 from hereditas.errors import InvalidConfigError
 from hereditas.io import dump_json, from_json_fields, to_json
-from hereditas import simulate
+from hereditas import cli, simulate
 from hereditas.selectors import FitResult, LassoOptions, StepwiseOptions
 from hereditas.simulate import (
     CampaignReport,
@@ -215,6 +216,39 @@ class TestRunPipeline:
                               options={"stub": StubOptions(converged=True)})
         assert fitted.warning is None
 
+    def test_a_scheme_is_one_table_entry(self, monkeypatch, tmp_path):
+        # The stub reaches the pipeline and the fit command through the table
+        # alone, and the default campaign still runs exactly the paper's four cells.
+        calls = []
+
+        def step(raw, terms, estimator):
+            calls.append(raw.shape)
+            return simulate._hierarchical(raw, terms, estimator)
+
+        campaign = ["simulate", "--preset", "setting1", "--replicates", "1", "--out-dir"]
+        assert cli.main(campaign + [str(tmp_path / "without")]) == 0
+        monkeypatch.setitem(simulate.SCHEMES, "stub", step)
+        data = generate_replicate(fast_cfg(), 0)
+        stub = fit_pipeline(data.train, data.valid, data.truth.terms, LASSO, "stub").raw_coefs
+        assert calls == [data.train.design.shape]
+        hier = fit_pipeline(data.train, data.valid, data.truth.terms, LASSO,
+                            HIERARCHICAL).raw_coefs
+        assert stub.intercept == hier.intercept
+        np.testing.assert_array_equal(stub.values, hier.values)
+
+        csv = os.path.join(os.path.dirname(__file__), "data", "four_mains.csv")
+        out = tmp_path / "fit"
+        assert cli.main(["fit", csv, "--scheme", "stub", "--seed", "5",
+                         "--out-dir", str(out)]) == 0
+        assert len(calls) == 2
+        assert json.loads((out / "four_mains.lasso.stub.fit.json").read_text())["scheme"] == "stub"
+
+        assert cli.main(campaign + [str(tmp_path / "with")]) == 0
+        assert len(calls) == 2
+        report = [(tmp_path / run / "setting1.report.json").read_bytes()
+                  for run in ("without", "with")]
+        assert report[1] == report[0]
+
 
 class TestRunCampaign:
     def test_two_replicate_aggregation_hand_check(self):
@@ -264,10 +298,16 @@ class TestRunCampaign:
             assert all(m.msh == 1.0 for m in cell.per_replicate)
 
     def test_default_cells_cover_all_four(self):
-        assert set(DEFAULT_CELLS) == {
+        assert DEFAULT_CELLS == (
             (LASSO, HIERARCHICAL), (LASSO, REGULAR),
             (STEPWISE, HIERARCHICAL), (STEPWISE, REGULAR),
-        }
+        )
+        parser = cli.build_parser()
+        sim = parser.parse_args(["simulate", "--preset", "setting1"])
+        assert (sim.methods, sim.schemes) == ("lasso,stepwise", "hierarchical,regular")
+        fit = parser.parse_args(["fit", "d.csv"])
+        std = parser.parse_args(["standardize", "d.csv"])
+        assert (fit.method, fit.scheme, std.scheme) == (LASSO, HIERARCHICAL, HIERARCHICAL)
 
 
 class TestPresets:
